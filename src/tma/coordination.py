@@ -9,6 +9,12 @@ when they observe the flag between steps, so heterogeneous trainer speeds
 never block each other outside the collection window. The ``stop`` flag is
 monotone; a trainer finishes its current step and exits cleanly.
 
+Both modes keep one round book (``_Rounds``): the global weights, metrics
+row and close time of every round, and the evaluations still in flight.
+The book also has the one result path: it picks the best validation round,
+scores it on the test split and builds the ``RunResult``. The tma server
+and the ggs loop differ only in how they reach the end of a round.
+
 Everything runs against injected clock/channel primitives, so the same
 protocol code executes on real threads, over TCP, or inside the
 deterministic simulation used by the acceptance tests.
@@ -27,11 +33,18 @@ from .evaluate import evaluate
 from .graph import EdgeSplits, Graph
 from .nn import AdamState, ModelConfig, ModelWeights, aggregate_average, init_weights
 from .partition import Subgraph
-from .runtime import ChannelClosed, SimRuntime, ThreadRuntime
+from .runtime import ChannelClosed, ChannelTimeout, SimRuntime, ThreadRuntime
 from .sampling import sample_minibatch
 from .transport import InProcTransports, TcpCoordinator, TcpTrainerEndpoint
 
 LOSS_EMA_ALPHA = 0.1
+# seconds between the server's checks of the round clock; the sim schedule
+# (and so every sim result) depends on this exact value
+SERVER_POLL = 0.01
+# seconds a trainer with no local edges waits between flag checks
+IDLE_POLL = 0.05
+# validation evaluations in flight at once; a round closed beyond it is not scored
+EVAL_QUEUE_LIMIT = 64
 
 
 class ProtocolError(RuntimeError):
@@ -44,19 +57,13 @@ class TrainerSpec:
 
     ``step_time`` is charged after every local step: virtual seconds under
     the sim clock, a real sleep under the wall clock (the heterogeneity
-    knob either way). ``step_jitter`` adds a seeded uniform random extra of
-    up to that fraction of ``step_time`` per step, from an rng stream
-    independent of the sampling one.
+    knob either way).
     """
 
     trainer_id: int
     subgraph: Subgraph
     seed: int
     step_time: float = 0.01
-    step_jitter: float = 0.0
-
-    def делay_stream(self):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -69,9 +76,6 @@ class RunConfig:
     fanouts: tuple = (10, 5)
     failed: frozenset = frozenset()
     readiness_timeout: float = 30.0
-    server_poll: float = 0.01
-    idle_poll: float = 0.05
-    eval_queue_limit: int = 64
 
     def __post_init__(self):
         if self.mode not in ("tma", "ggs"):
@@ -96,6 +100,15 @@ class TrainerLog:
     step_times: list = field(default_factory=list)
     send_rounds: list = field(default_factory=list)  # (round, wall time)
     stop_seen_at: float = math.nan
+
+    def record_step(self, loss: float) -> None:
+        """Count one step and fold its loss into ``loss_ema``."""
+        self.steps += 1
+        self.loss_ema = (
+            loss
+            if math.isnan(self.loss_ema)
+            else (1 - LOSS_EMA_ALPHA) * self.loss_ema + LOSS_EMA_ALPHA * loss
+        )
 
 
 @dataclass
@@ -123,6 +136,105 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
+# round book and result path (shared by both modes)
+
+
+class _Rounds:
+    """What a run records per round, from the start of its round clock.
+
+    Round 0 holds the initial weights and is never scored. ``close`` ends
+    the next round and queues its validation evaluation on ``eval_jobs``;
+    ``drain`` collects finished scores from ``eval_results``; ``finish``
+    turns the book into the run's result.
+    """
+
+    def __init__(self, clock, weights: ModelWeights, eval_jobs, eval_results):
+        self._clock = clock
+        self._eval_jobs = eval_jobs
+        self._eval_results = eval_results
+        self.t_start = clock.now()
+        self._weights = {0: weights.copy()}
+        self._rows: dict[int, MetricsRecord] = {}
+        self._times: list[float] = []
+        self._pending: set[tuple[str, int]] = set()
+        self._mrr: dict[tuple[str, int], float] = {}
+
+    @property
+    def t(self) -> int:
+        """Rounds closed so far: the index of the round now running."""
+        return len(self._times)
+
+    def _wall(self) -> float:
+        return round(self._clock.now() - self.t_start, 6)
+
+    def _queue(self, split: str, round_t: int, weights: ModelWeights) -> None:
+        self._eval_jobs.put((split, round_t, weights.copy()))
+        self._pending.add((split, round_t))
+
+    def close(self, weights: ModelWeights, steps: dict, losses: dict) -> None:
+        """End the next round with these global weights and per-trainer tallies."""
+        t = self.t + 1
+        self._weights[t] = weights.copy()
+        wall = self._wall()
+        self._times.append(wall)
+        self._rows[t] = MetricsRecord(
+            wall_s=wall, round=t, split="val", mrr=math.nan, steps=steps, loss=losses
+        )
+        if len(self._pending) < EVAL_QUEUE_LIMIT:
+            self._queue("val", t, weights)
+
+    def drain(self, block_for: set | None = None) -> None:
+        """Collect finished evaluations: those ready now, or, given
+        ``block_for``, every result until none of those keys is pending."""
+        while self._pending and (block_for is None or block_for & self._pending):
+            try:
+                split, round_t, mrr = self._eval_results.get(
+                    timeout=None if block_for else 0.0
+                )
+            except ChannelTimeout:
+                return
+            self._pending.discard((split, round_t))
+            self._mrr[(split, round_t)] = mrr
+            if split == "val" and round_t in self._rows:
+                self._rows[round_t].mrr = mrr
+
+    def finish(self, live_ids, steps: dict, losses: dict, trainer_logs: dict) -> RunResult:
+        """Wait for the validation scores, score the best round on the test
+        split (the earliest round wins a tie) and build the result."""
+        self.drain({p for p in self._pending if p[0] == "val"})
+        scored = [(r.mrr, -r.round) for r in self._rows.values() if not math.isnan(r.mrr)]
+        if not scored:
+            raise ProtocolError("no validation evaluation completed")
+        best_mrr, neg_round = max(scored)
+        best_round = -neg_round
+        best_weights = self._weights[best_round]
+
+        self._queue("test", best_round, best_weights)
+        self.drain({("test", best_round)})
+        test_mrr = self._mrr[("test", best_round)]
+
+        metrics = [self._rows[k] for k in sorted(self._rows)]
+        metrics.append(
+            MetricsRecord(
+                wall_s=self._wall(), round=best_round, split="test", mrr=test_mrr,
+                steps=steps, loss=losses,
+            )
+        )
+        return RunResult(
+            best_weights=best_weights,
+            best_round=best_round,
+            best_val_mrr=float(best_mrr),
+            test_mrr=float(test_mrr),
+            rounds=self.t,
+            metrics=metrics,
+            trainer_logs=trainer_logs,
+            weights_by_round=self._weights,
+            round_times=self._times,
+            live_ids=live_ids,
+        )
+
+
+# ---------------------------------------------------------------------------
 # server (time-based aggregation rounds)
 
 
@@ -135,7 +247,7 @@ def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs
             break
         if clock.now() - t0 >= cfg.readiness_timeout:
             break
-        clock.sleep(cfg.server_poll)
+        clock.sleep(SERVER_POLL)
     live = sorted(ready)
     if not live:
         raise ProtocolError("no trainer became ready before the readiness timeout")
@@ -146,27 +258,14 @@ def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs
     for i in live:
         endpoint.send_global(i, 0, w_global)
 
-    t_start = t_agg = clock.now()
-    t = 0
-    weights_by_round = {0: w_global.copy()}
-    rows: dict[int, MetricsRecord] = {}
-    round_times: list[float] = []
-    pending: set[tuple[str, int]] = set()
-    results_by_round: dict[tuple[str, int], float] = {}
+    def tally():
+        return (
+            {i: endpoint.kv_get(f"steps/{i}", 0) for i in live},
+            {i: endpoint.kv_get(f"loss/{i}", math.nan) for i in live},
+        )
 
-    def drain_results(block_for: set | None = None):
-        while pending and (block_for is None or block_for & pending):
-            try:
-                split, round_t, mrr = eval_results.get(timeout=None if block_for else 0.0)
-            except Exception:
-                if block_for is None:
-                    return
-                raise
-            pending.discard((split, round_t))
-            if split == "val" and round_t in rows:
-                rows[round_t].mrr = mrr
-            results_by_round[(split, round_t)] = mrr
-
+    book = _Rounds(clock, w_global, eval_jobs, eval_results)
+    t_agg = book.t_start
     while not endpoint.kv_get("stop"):
         if clock.now() - t_agg >= cfg.agg_interval:
             endpoint.kv_set("agg", True)
@@ -177,84 +276,25 @@ def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs
                 except ChannelClosed:
                     live.remove(i)
                     continue
-                if tag != t:
+                if tag != book.t:
                     raise ProtocolError(
-                        f"trainer {i} submitted weights for round {tag} during round {t}"
+                        f"trainer {i} submitted weights for round {tag} during round {book.t}"
                     )
                 collected.append(w_i)
             if not live:
                 raise ProtocolError("all trainers dead; aborting the run")
             endpoint.kv_set("agg", False)
             w_global = aggregate_average(collected)
-            t += 1
-            weights_by_round[t] = w_global.copy()
             for i in live:
-                endpoint.send_global(i, t, w_global)
-            wall = round(clock.now() - t_start, 6)
-            round_times.append(wall)
-            steps = {i: endpoint.kv_get(f"steps/{i}", 0) for i in live}
-            losses = {i: endpoint.kv_get(f"loss/{i}", math.nan) for i in live}
-            rows[t] = MetricsRecord(
-                wall_s=wall, round=t, split="val", mrr=math.nan, steps=steps, loss=losses
-            )
-            if len(pending) < cfg.eval_queue_limit:
-                eval_jobs.put(("val", t, w_global.copy()))
-                pending.add(("val", t))
+                endpoint.send_global(i, book.t + 1, w_global)
+            book.close(w_global, *tally())
             t_agg = clock.now()
-        if clock.now() - t_start > cfg.train_budget:
+        if clock.now() - book.t_start > cfg.train_budget:
             endpoint.kv_set("stop", True)
-        drain_results()
-        clock.sleep(cfg.server_poll)
+        book.drain()
+        clock.sleep(SERVER_POLL)
 
-    drain_results(block_for={p for p in pending if p[0] == "val"})
-    if t == 0:
-        # budget shorter than one interval: score the initial weights
-        eval_jobs.put(("val", 0, w_global.copy()))
-        pending.add(("val", 0))
-        drain_results(block_for={("val", 0)})
-        rows[0] = MetricsRecord(
-            wall_s=round(clock.now() - t_start, 6),
-            round=0,
-            split="val",
-            mrr=results_by_round[("val", 0)],
-            steps={i: 0 for i in live},
-            loss={i: math.nan for i in live},
-        )
-    scored = [(r.mrr, -r.round) for r in rows.values() if not math.isnan(r.mrr)]
-    if not scored:
-        raise ProtocolError("no validation evaluation completed")
-    best_mrr, neg_round = max(scored)
-    best_round = -neg_round
-    best_weights = weights_by_round[best_round]
-
-    eval_jobs.put(("test", best_round, best_weights.copy()))
-    pending.add(("test", best_round))
-    drain_results(block_for={("test", best_round)})
-    test_mrr = results_by_round[("test", best_round)]
-
-    metrics = [rows[k] for k in sorted(rows)]
-    metrics.append(
-        MetricsRecord(
-            wall_s=round(clock.now() - t_start, 6),
-            round=best_round,
-            split="test",
-            mrr=test_mrr,
-            steps={i: endpoint.kv_get(f"steps/{i}", 0) for i in live},
-            loss={i: endpoint.kv_get(f"loss/{i}", math.nan) for i in live},
-        )
-    )
-    return RunResult(
-        best_weights=best_weights,
-        best_round=best_round,
-        best_val_mrr=float(best_mrr),
-        test_mrr=float(test_mrr),
-        rounds=t,
-        metrics=metrics,
-        trainer_logs={},
-        weights_by_round=weights_by_round,
-        round_times=round_times,
-        live_ids=live,
-    )
+    return book.finish(live, *tally(), {})
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +321,7 @@ def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: Trainer
     try:
         while not endpoint.kv_get("stop"):
             if degenerate:
-                clock.sleep(cfg.idle_poll)
+                clock.sleep(IDLE_POLL)
             else:
                 batch = sample_minibatch(
                     sub.local_graph, sub.train_edges, cfg.batch_size, cfg.fanouts, rng
@@ -291,13 +331,8 @@ def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: Trainer
                     cfg.model, w, opt, batch.mfg.blocks,
                     features[batch.mfg.input_nodes], u, v, labels,
                 )
-                log.steps += 1
+                log.record_step(loss)
                 log.step_times.append(clock.now())
-                log.loss_ema = (
-                    loss
-                    if math.isnan(log.loss_ema)
-                    else (1 - LOSS_EMA_ALPHA) * log.loss_ema + LOSS_EMA_ALPHA * loss
-                )
                 clock.sleep(spec.step_time)
             if endpoint.kv_get("agg"):
                 endpoint.kv_set(f"steps/{spec.trainer_id}", log.steps)
@@ -352,30 +387,15 @@ def run_ggs(
     logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
     step_cost = max(s.step_time for s in specs)
 
-    t_start = t_agg = clock.now()
-    t = 0
-    rows: dict[int, MetricsRecord] = {}
-    round_times: list[float] = []
-    pending: set[tuple[str, int]] = set()
-    results: dict[tuple[str, int], float] = {}
-    weights_by_round = {0: w.copy()}
+    def tally():
+        return (
+            {i: log.steps for i, log in logs.items()},
+            {i: log.loss_ema for i, log in logs.items()},
+        )
 
-    def drain(block_for=None):
-        while pending and (block_for is None or block_for & pending):
-            try:
-                split, round_t, mrr = eval_results.get(timeout=None if block_for else 0.0)
-            except ChannelClosed:
-                raise
-            except Exception:
-                if block_for is None:
-                    return
-                raise
-            pending.discard((split, round_t))
-            results[(split, round_t)] = mrr
-            if split == "val" and round_t in rows:
-                rows[round_t].mrr = mrr
-
-    while clock.now() - t_start <= cfg.train_budget:
+    book = _Rounds(clock, w, eval_jobs, eval_results)
+    t_agg = book.t_start
+    while clock.now() - book.t_start <= cfg.train_budget:
         shard_grads = []
         shard_losses = []
         for spec in specs:
@@ -394,72 +414,14 @@ def run_ggs(
         }
         nn.adam_step(opt, w, avg, cfg.model.lr)
         for spec, loss in zip(specs, shard_losses):
-            log = logs[spec.trainer_id]
-            log.steps += 1
-            log.loss_ema = (
-                loss
-                if math.isnan(log.loss_ema)
-                else (1 - LOSS_EMA_ALPHA) * log.loss_ema + LOSS_EMA_ALPHA * loss
-            )
+            logs[spec.trainer_id].record_step(loss)
         clock.sleep(step_cost)
         if clock.now() - t_agg >= cfg.agg_interval:
-            t += 1
-            weights_by_round[t] = w.copy()
-            wall = round(clock.now() - t_start, 6)
-            round_times.append(wall)
-            rows[t] = MetricsRecord(
-                wall_s=wall,
-                round=t,
-                split="val",
-                mrr=math.nan,
-                steps={s.trainer_id: logs[s.trainer_id].steps for s in specs},
-                loss={s.trainer_id: logs[s.trainer_id].loss_ema for s in specs},
-            )
-            if len(pending) < cfg.eval_queue_limit:
-                eval_jobs.put(("val", t, w.copy()))
-                pending.add(("val", t))
+            book.close(w, *tally())
             t_agg = clock.now()
-        drain()
+        book.drain()
 
-    drain(block_for={p for p in pending if p[0] == "val"})
-    if t == 0:
-        eval_jobs.put(("val", 0, w.copy()))
-        pending.add(("val", 0))
-        drain(block_for={("val", 0)})
-        rows[0] = MetricsRecord(
-            wall_s=round(clock.now() - t_start, 6), round=0, split="val",
-            mrr=results[("val", 0)], steps={s.trainer_id: 0 for s in specs},
-            loss={s.trainer_id: math.nan for s in specs},
-        )
-    scored = [(r.mrr, -r.round) for r in rows.values() if not math.isnan(r.mrr)]
-    best_mrr, neg_round = max(scored)
-    best_round = -neg_round
-    best_weights = weights_by_round[best_round]
-    eval_jobs.put(("test", best_round, best_weights.copy()))
-    pending.add(("test", best_round))
-    drain(block_for={("test", best_round)})
-    test_mrr = results[("test", best_round)]
-
-    metrics = [rows[k] for k in sorted(rows)]
-    metrics.append(
-        MetricsRecord(
-            wall_s=round(clock.now() - t_start, 6), round=best_round, split="test", mrr=test_mrr,
-            steps={s.trainer_id: logs[s.trainer_id].steps for s in specs},
-            loss={s.trainer_id: logs[s.trainer_id].loss_ema for s in specs},
-        )
-    )
-    return RunResult(
-        best_weights=best_weights,
-        best_round=best_round,
-        best_val_mrr=float(best_mrr),
-        test_mrr=float(test_mrr),
-        rounds=t,
-        metrics=metrics,
-        trainer_logs=logs,
-        weights_by_round=weights_by_round,
-        round_times=round_times,
-        live_ids=[s.trainer_id for s in specs],
-    )
+    return book.finish([s.trainer_id for s in specs], *tally(), logs)
 
 
 # ---------------------------------------------------------------------------
@@ -501,59 +463,46 @@ def run_training(
             weights, cfg.model, train_graph, features, splits, split, round_t
         ).mrr
 
+    live_specs = [s for s in specs if s.trainer_id not in cfg.failed]
     result_box: dict[str, RunResult] = {}
-    logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
+    server_ep = None
 
-    if cfg.mode == "ggs":
-        live_specs = [s for s in specs if s.trainer_id not in cfg.failed]
-
-        def ggs_actor():
-            try:
-                result_box["result"] = run_ggs(
-                    cfg, live_specs, train_graph, features, initial,
-                    rt.clock, eval_jobs, eval_results,
-                )
-            finally:
-                eval_jobs.close()
-
-        rt.spawn("ggs", ggs_actor)
-        rt.spawn("evaluator", run_evaluator, eval_jobs, eval_results, eval_fn)
-        rt.run_all()
-        result = result_box["result"]
-        return result
-
-    if transport == "inproc":
-        hub = InProcTransports(rt, ids)
-        server_ep = hub.server_endpoint()
-        trainer_ep = hub.trainer_endpoint
-    else:
-        coordinator = TcpCoordinator(ids, cfg.model.fingerprint(), host=tcp_host)
-        server_ep = coordinator
-
-        def trainer_ep(trainer_id):
-            return TcpTrainerEndpoint(
-                coordinator.address, trainer_id, cfg.model.fingerprint()
-            )
-
-    def server_actor():
+    def loop_actor(loop, *args):
         try:
-            result_box["result"] = run_server(
-                cfg, server_ep, initial, rt.clock, eval_jobs, eval_results
-            )
+            result_box["result"] = loop(*args)
         finally:
             eval_jobs.close()
-            if transport == "tcp":
-                coordinator.close()
-            else:
+            if server_ep is not None:
                 server_ep.close()
 
-    def trainer_actor(spec):
-        endpoint = trainer_ep(spec.trainer_id)
-        run_trainer(spec, cfg, endpoint, rt.clock, logs[spec.trainer_id])
+    if cfg.mode == "ggs":
+        rt.spawn(
+            "ggs", loop_actor, run_ggs, cfg, live_specs, train_graph, features,
+            initial, rt.clock, eval_jobs, eval_results,
+        )
+    else:
+        logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
+        if transport == "inproc":
+            hub = InProcTransports(rt, ids)
+            server_ep = hub.server_endpoint()
+            trainer_ep = hub.trainer_endpoint
+        else:
+            server_ep = TcpCoordinator(ids, cfg.model.fingerprint(), host=tcp_host)
 
-    rt.spawn("server", server_actor)
-    for spec in specs:
-        if spec.trainer_id not in cfg.failed:
+            def trainer_ep(trainer_id):
+                return TcpTrainerEndpoint(
+                    server_ep.address, trainer_id, cfg.model.fingerprint()
+                )
+
+        def trainer_actor(spec):
+            endpoint = trainer_ep(spec.trainer_id)
+            run_trainer(spec, cfg, endpoint, rt.clock, logs[spec.trainer_id])
+
+        rt.spawn(
+            "server", loop_actor, run_server, cfg, server_ep, initial, rt.clock,
+            eval_jobs, eval_results,
+        )
+        for spec in live_specs:
             rt.spawn(f"trainer-{spec.trainer_id}", trainer_actor, spec)
     rt.spawn("evaluator", run_evaluator, eval_jobs, eval_results, eval_fn)
     rt.run_all()
@@ -561,5 +510,7 @@ def run_training(
     result = result_box.get("result")
     if result is None:
         raise ProtocolError("server did not produce a result")
-    result.trainer_logs = logs
+    if cfg.mode == "tma":
+        # trainer logs live with the trainers, not the server
+        result.trainer_logs = logs
     return result

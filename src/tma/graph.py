@@ -239,22 +239,17 @@ def generate_synthetic(
     mean_degree: float,
     h: float,
     k: int = 2,
-    beta: float = 0.5,
     seed: int = 0,
 ) -> tuple[Graph, np.ndarray, NodeLabels]:
     """Sample a homophilic graph from the class compatibility model.
 
     Classes are exactly equal-sized (label of node i is ``i % k``) and each
     unordered pair (i, j) is included independently with probability
-    ``q * H(y_i, y_j)``. Features are one-hot labels (float32). ``beta`` is
-    accepted for config symmetry with the label-aligned partition builders
-    downstream; it does not influence sampling.
+    ``q * H(y_i, y_j)``. Features are one-hot labels (float32).
     """
     compat = CompatibilityMatrix(h=h, k=k)
     if num_nodes % 2 or num_nodes % k:
         raise ValueError("num_nodes must be even and divisible by k")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must be in [0, 1]")
     if mean_degree <= 0 or mean_degree * num_nodes > num_nodes**2 / 4:
         raise ValueError("mean_degree out of range for this graph size")
     q = pair_probability_scale(num_nodes, mean_degree, h, k)

@@ -58,9 +58,6 @@ class ModelConfig:
         dec = "->".join([str(self.hidden_dim)] * self.decoder_layers + ["1"])
         return f"{self.encoder}[{enc}];dec[{dec}]"
 
-    def fingerprint_digest(self) -> bytes:
-        return hashlib.blake2b(self.fingerprint().encode(), digest_size=16).digest()
-
 
 @dataclass
 class ModelWeights:

@@ -50,10 +50,6 @@ class KvStore:
         with self._lock:
             self._data[key] = value
 
-    def snapshot(self) -> dict:
-        with self._lock:
-            return dict(self._data)
-
 
 # ---------------------------------------------------------------------------
 # real-thread runtime
@@ -97,10 +93,6 @@ class ThreadChannel:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-
-    def __len__(self):
-        with self._cond:
-            return len(self._items)
 
 
 class ThreadRuntime:
@@ -357,9 +349,6 @@ class SimChannel:
     def close(self) -> None:
         self._closed = True
         self._kernel.wake_all_waiters(self)
-
-    def __len__(self):
-        return len(self._items)
 
 
 class SimClock:

@@ -17,7 +17,7 @@ import struct
 import threading
 
 from .nn import ModelWeights, weights_from_bytes, weights_to_bytes
-from .runtime import ChannelClosed, KvStore
+from .runtime import ChannelClosed, ChannelTimeout, KvStore, ThreadChannel
 
 MSG_READY = 1
 MSG_WEIGHTS = 2
@@ -28,6 +28,8 @@ MSG_KV_SET = 6
 MSG_KV_VALUE = 7
 
 _HEADER = struct.Struct("<IBIH")  # frame_len, msg_type, round, trainer
+# largest frame_len a reader accepts, so a peer cannot make it buffer up to 4 GiB
+MAX_FRAME_LEN = 64 << 20
 
 
 class TransportError(RuntimeError):
@@ -146,7 +148,9 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def recv_frame(sock: socket.socket):
     frame_len, msg_type, round_t, trainer = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    payload = _recv_exact(sock, frame_len - 7) if frame_len > 7 else b""
+    if not 7 <= frame_len <= MAX_FRAME_LEN:
+        raise TransportError(f"frame length {frame_len} outside [7, {MAX_FRAME_LEN}]")
+    payload = _recv_exact(sock, frame_len - 7)
     return msg_type, round_t, trainer, payload
 
 
@@ -157,7 +161,7 @@ class TcpCoordinator:
         self.kv = KvStore()
         self.trainer_ids = sorted(trainer_ids)
         self._fingerprint = fingerprint
-        self._inbox = {i: _LockedQueue() for i in self.trainer_ids}
+        self._inbox = {i: ThreadChannel() for i in self.trainer_ids}
         self._conns: dict[int, socket.socket] = {}
         self._send_locks: dict[int, threading.Lock] = {}
         self._listener = socket.create_server((host, port))
@@ -254,8 +258,8 @@ class TcpTrainerEndpoint:
         self._sock = socket.create_connection(address, timeout=connect_timeout)
         self._sock.settimeout(None)
         self._send_lock = threading.Lock()
-        self._global_q = _LockedQueue()
-        self._kv_q = _LockedQueue()
+        self._global_q = ThreadChannel()
+        self._kv_q = ThreadChannel()
         self._stopped = False
         self._reader = threading.Thread(target=self._reader_loop, daemon=True)
         self._reader.start()
@@ -290,7 +294,10 @@ class TcpTrainerEndpoint:
         if self._stopped and key == "stop":
             return True
         self._send(MSG_KV_GET, 0, key.encode())
-        value = self._kv_q.get(timeout=30.0)
+        try:
+            value = self._kv_q.get(timeout=30.0)
+        except ChannelTimeout:
+            raise TransportError("timed out waiting for a frame") from None
         return default if value is None else value
 
     def kv_set(self, key, value):
@@ -310,36 +317,3 @@ class TcpTrainerEndpoint:
             self._sock.close()
         except OSError:
             pass
-
-
-class _LockedQueue:
-    """Minimal blocking queue with close semantics (thread runtime only)."""
-
-    def __init__(self):
-        self._items: list = []
-        self._closed = False
-        self._cond = threading.Condition()
-
-    def put(self, item):
-        with self._cond:
-            self._items.append(item)
-            self._cond.notify_all()
-
-    def get(self, timeout=None):
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        with self._cond:
-            while not self._items:
-                if self._closed:
-                    raise ChannelClosed
-                remaining = None if deadline is None else deadline - _time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TransportError("timed out waiting for a frame")
-                self._cond.wait(remaining)
-            return self._items.pop(0)
-
-    def close(self):
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()

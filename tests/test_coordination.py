@@ -1,4 +1,7 @@
 import math
+import socket
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -18,8 +21,10 @@ from tma.runtime import (
     ChannelTimeout,
     DeadlockError,
     SimRuntime,
+    ThreadChannel,
     ThreadRuntime,
 )
+from tma.transport import MAX_FRAME_LEN, TransportError, recv_frame
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +100,9 @@ class TestSimKernel:
         with pytest.raises(DeadlockError):
             rt.run_all()
 
-    def test_closed_channel_unblocks(self):
-        rt = SimRuntime()
+    @pytest.mark.parametrize("runtime", [SimRuntime, ThreadRuntime], ids=lambda r: r.__name__)
+    def test_closed_channel_unblocks(self, runtime):
+        rt = runtime()
         ch = rt.channel()
         outcome = {}
 
@@ -107,7 +113,7 @@ class TestSimKernel:
                 outcome["closed"] = True
 
         def closer():
-            rt.clock.sleep(1.0)
+            rt.clock.sleep(0.05)
             ch.close()
 
         rt.spawn("w", waiter)
@@ -173,7 +179,7 @@ class TestTmaProtocol:
         specs = make_specs(train, x, 2, step_time=0.1)
         cfg = RunConfig(
             model=small_model(x), train_budget=30.0, agg_interval=5.0,
-            batch_size=16, fanouts=(3, 3), server_poll=0.01,
+            batch_size=16, fanouts=(3, 3),
         )
         res = run_training(cfg, specs, train, x, splits)
         assert abs(res.rounds - 6) <= 1
@@ -212,11 +218,12 @@ class TestTmaProtocol:
         assert res.rounds >= 2
         assert res.trainer_logs[0].steps == res.trainer_logs[1].steps
 
-    def test_metrics_rows_complete(self):
+    @pytest.mark.parametrize("mode", ["tma", "ggs"])
+    def test_metrics_rows_complete(self, mode):
         train, x, y, splits = make_dataset(seed=3)
         specs = make_specs(train, x, 3, step_time=0.07)
         cfg = RunConfig(
-            model=small_model(x), train_budget=6.0, agg_interval=2.0,
+            model=small_model(x), mode=mode, train_budget=6.0, agg_interval=2.0,
             batch_size=16, fanouts=(3, 3),
         )
         res = run_training(cfg, specs, train, x, splits)
@@ -228,7 +235,8 @@ class TestTmaProtocol:
         assert 0 < res.best_val_mrr <= 1
         assert 0 < res.test_mrr <= 1
         assert res.best_round in res.weights_by_round
-        for row in val_rows:
+        assert res.round_times == [r.wall_s for r in val_rows]
+        for row in res.metrics:
             assert set(row.steps) == {0, 1, 2}
 
     def test_stop_is_monotone_no_late_steps(self):
@@ -424,7 +432,7 @@ class TestThreadRuntimeAndTcp:
         specs = make_specs(train, x, 2, step_time=0.0)
         cfg = RunConfig(
             model=small_model(x), train_budget=1.2, agg_interval=0.3,
-            batch_size=8, fanouts=(2, 2), server_poll=0.005,
+            batch_size=8, fanouts=(2, 2),
         )
         res = run_training(cfg, specs, train, x, splits, runtime="threads")
         assert res.rounds >= 1
@@ -435,7 +443,7 @@ class TestThreadRuntimeAndTcp:
         specs = make_specs(train, x, 2, step_time=0.0)
         cfg = RunConfig(
             model=small_model(x), train_budget=1.2, agg_interval=0.3,
-            batch_size=8, fanouts=(2, 2), server_poll=0.005,
+            batch_size=8, fanouts=(2, 2),
         )
         res = run_training(
             cfg, specs, train, x, splits, runtime="threads", transport="tcp"
@@ -444,6 +452,24 @@ class TestThreadRuntimeAndTcp:
         assert 0 < res.test_mrr <= 1
         for log in res.trainer_logs.values():
             assert log.steps > 0
+
+    def test_thread_channel_get_times_out(self):
+        ch = ThreadChannel()
+        t0 = time.monotonic()
+        with pytest.raises(ChannelTimeout):
+            ch.get(timeout=0.05)
+        assert time.monotonic() - t0 >= 0.05
+        ch.put("x")
+        assert ch.get(timeout=0.05) == "x"
+
+    @pytest.mark.parametrize("frame_len", [3, MAX_FRAME_LEN + 1, 2**32 - 1])
+    def test_recv_frame_rejects_bad_length(self, frame_len):
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5.0)
+            a.sendall(struct.pack("<IBIH", frame_len, 2, 0, 0) + b"\x00" * 64)
+            with pytest.raises(TransportError, match="frame length"):
+                recv_frame(b)
 
     def test_tcp_rejected_under_sim(self):
         train, x, y, splits = make_dataset(seed=17, n=120)
