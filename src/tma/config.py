@@ -108,8 +108,6 @@ class ExperimentConfig:
                 return tuple(raw)
             return self._list_fields[key](raw)
         current = getattr(type(self)(), key)
-        if isinstance(current, bool):
-            return str(raw).lower() in ("1", "true", "yes")
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):

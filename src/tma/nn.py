@@ -1,9 +1,11 @@
-"""Dense model math: GNN encoders, MLP decoder, losses, manual gradients, Adam.
+"""Model math: GNN encoders, MLP decoder, losses, manual gradients, Adam.
 
-Everything is plain numpy with hand-written reverse-mode gradients, so the
-whole training stack is deterministic given seeds and checkable against
-finite differences. Weights are float64 in memory; the checkpoint format
-stores float32.
+Everything is numpy with hand-written reverse-mode gradients, so the whole
+training stack is deterministic given seeds and checkable against finite
+differences. Neighborhood aggregation is a sparse linear operator from
+source rows to destination rows (``scipy.sparse`` CSR), so its backward
+pass is the product with its transpose. Weights are float64 in memory; the
+checkpoint format stores float32.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph
 
@@ -26,12 +29,7 @@ class NnError(ValueError):
 
 @dataclass
 class ModelConfig:
-    """Architecture and optimizer settings shared by all trainers.
-
-    ``theory_mode`` switches to the 1-layer linear analysis model: plain
-    neighbor-mean aggregation (no self-loop), no LayerNorm/PReLU, sigmoid
-    output, one weight matrix of shape (in_dim, 1).
-    """
+    """Architecture and optimizer settings shared by all trainers."""
 
     in_dim: int
     encoder: str = "gcn"
@@ -40,19 +38,14 @@ class ModelConfig:
     decoder_layers: int = 2
     lr: float = 0.001
     seed: int = 0
-    theory_mode: bool = False
 
     def __post_init__(self):
         if self.encoder not in ENCODERS:
             raise NnError(f"unknown encoder {self.encoder!r}")
         if self.layers < 1 or self.decoder_layers < 1:
             raise NnError("layers and decoder_layers must be >= 1")
-        if self.theory_mode and (self.encoder != "gcn" or self.layers != 1):
-            raise NnError("theory mode is the 1-layer gcn model")
 
     def fingerprint(self) -> str:
-        if self.theory_mode:
-            return f"theory-gcn[{self.in_dim}->1]"
         dims = [self.in_dim] + [self.hidden_dim] * self.layers
         enc = "->".join(map(str, dims))
         dec = "->".join([str(self.hidden_dim)] * self.decoder_layers + ["1"])
@@ -84,11 +77,6 @@ class ModelWeights:
         for name in self.names:
             yield name, self.tensors[name]
 
-    def allclose(self, other: "ModelWeights", **kw) -> bool:
-        return self.fingerprint == other.fingerprint and all(
-            np.allclose(self.tensors[n], other.tensors[n], **kw) for n in self.names
-        )
-
     def equal_bits(self, other: "ModelWeights") -> bool:
         return self.fingerprint == other.fingerprint and all(
             np.array_equal(self.tensors[n], other.tensors[n]) for n in self.names
@@ -109,10 +97,6 @@ def init_weights(cfg: ModelConfig) -> ModelWeights:
     def add(name, arr):
         names.append(name)
         tensors[name] = np.asarray(arr, dtype=np.float64)
-
-    if cfg.theory_mode:
-        add("enc0.weight", np.zeros((cfg.in_dim, 1)))
-        return ModelWeights(cfg.fingerprint(), names, tensors)
 
     d_in = cfg.in_dim
     for i in range(cfg.layers):
@@ -168,9 +152,33 @@ def full_graph_blocks(g: Graph, layers: int) -> list[Block]:
     return [block] * layers
 
 
-def _segment_sum(rows: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    csum = np.vstack([np.zeros((1, rows.shape[1])), np.cumsum(rows, axis=0)])
-    return csum[indptr[1:]] - csum[indptr[:-1]]
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, num_src: int) -> sp.csr_matrix:
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, num_src))
+
+
+def _neighbor_mean(indptr: np.ndarray, nbr: np.ndarray, num_src: int) -> sp.csr_matrix:
+    """Mean over each destination's neighbors; rows with none aggregate to zero."""
+    deg = np.diff(indptr)
+    return _csr(np.repeat(1.0 / np.maximum(deg, 1), deg), nbr, indptr, num_src)
+
+
+def _aggregation_operators(encoder: str, block: Block) -> list[sp.csr_matrix]:
+    """The (num_dst, num_src) operators whose products, side by side, feed a layer.
+
+    mlp reads each node's own row, sage its own row and its neighbor mean,
+    gcn the mean over its neighbors and itself.
+    """
+    rows = np.arange(block.num_dst + 1)
+    select = _csr(np.ones(block.num_dst), block.self_idx, rows, block.num_src)
+    if encoder == "mlp":
+        return [select]
+    if encoder == "sage":
+        return [select, _neighbor_mean(block.indptr, block.nbr, block.num_src)]
+    deg = np.diff(block.indptr)
+    # each destination's own source row follows its neighbors
+    indices = np.insert(block.nbr, block.indptr[1:], block.self_idx)
+    data = np.repeat(1.0 / (deg + 1), deg + 1)
+    return [_csr(data, indices, block.indptr + rows, block.num_src)]
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
@@ -214,36 +222,12 @@ def _prelu_bwd(grad, z, slope):
     return dz, da
 
 
-def _aggregate_fwd(h, block: Block, include_self: bool):
-    """Mean over in-scope neighbors, optionally folding in the node itself."""
-    gathered = h[block.nbr]
-    total = _segment_sum(gathered, block.indptr)
-    deg = np.diff(block.indptr).astype(np.float64)
-    if include_self:
-        total = total + h[block.self_idx]
-        denom = deg + 1.0
-    else:
-        denom = np.maximum(deg, 1.0)
-    agg = total / denom[:, None]
-    return agg, denom
-
-
-def _aggregate_bwd(grad_agg, block: Block, denom, include_self: bool, d_h):
-    scaled = grad_agg / denom[:, None]
-    seg_ids = np.repeat(np.arange(block.num_dst), np.diff(block.indptr))
-    np.add.at(d_h, block.nbr, scaled[seg_ids])
-    if include_self:
-        np.add.at(d_h, block.self_idx, scaled)
-
-
 # ---------------------------------------------------------------------------
 # encoder
 
 
 def encode_with_tape(cfg: ModelConfig, w: ModelWeights, blocks: list[Block], x: np.ndarray):
     """Forward pass; returns (embeddings, tape) with tape feeding encode_backward."""
-    if cfg.theory_mode:
-        raise NnError("use theory_forward for the analysis model")
     if len(blocks) != cfg.layers:
         raise NnError(f"need {cfg.layers} blocks, got {len(blocks)}")
     if blocks[0].num_src != x.shape[0]:
@@ -251,25 +235,13 @@ def encode_with_tape(cfg: ModelConfig, w: ModelWeights, blocks: list[Block], x: 
     h = np.asarray(x, dtype=np.float64)
     tape = []
     for i, block in enumerate(blocks):
-        weight = w[f"enc{i}.weight"]
-        if cfg.encoder == "gcn":
-            agg, denom = _aggregate_fwd(h, block, include_self=True)
-            pre = agg @ weight
-            cache_in = (h, denom)
-        elif cfg.encoder == "sage":
-            neigh, denom = _aggregate_fwd(h, block, include_self=False)
-            self_rows = h[block.self_idx]
-            agg = np.concatenate([self_rows, neigh], axis=1)
-            pre = agg @ weight
-            cache_in = (h, denom)
-        else:  # mlp
-            agg = h[block.self_idx]
-            pre = agg @ weight
-            cache_in = (h, None)
+        ops = _aggregation_operators(cfg.encoder, block)
+        agg = np.hstack([op @ h for op in ops])
+        pre = agg @ w[f"enc{i}.weight"]
         out_ln, ln_cache = _layernorm_fwd(pre, w[f"enc{i}.ln.gain"], w[f"enc{i}.ln.bias"])
         out, pre_act = _prelu_fwd(out_ln, w[f"enc{i}.prelu"])
         _check_finite(out, f"encoder layer {i}")
-        tape.append((block, agg, cache_in, ln_cache, pre_act))
+        tape.append((ops, agg, ln_cache, pre_act))
         h = out
     return h, tape
 
@@ -278,7 +250,7 @@ def encode_backward(cfg: ModelConfig, w: ModelWeights, tape, grad_emb: np.ndarra
     """Accumulate parameter gradients for a previous encode_with_tape call."""
     grad = grad_emb
     for i in reversed(range(len(tape))):
-        block, agg, (h_in, denom), ln_cache, pre_act = tape[i]
+        ops, agg, ln_cache, pre_act = tape[i]
         grad, da = _prelu_bwd(grad, pre_act, w[f"enc{i}.prelu"])
         grads[f"enc{i}.prelu"] += da
         grad, dgain, dbias = _layernorm_bwd(grad, ln_cache)
@@ -287,16 +259,7 @@ def encode_backward(cfg: ModelConfig, w: ModelWeights, tape, grad_emb: np.ndarra
         weight = w[f"enc{i}.weight"]
         grads[f"enc{i}.weight"] += agg.T @ grad
         d_agg = grad @ weight.T
-        d_h = np.zeros_like(h_in)
-        if cfg.encoder == "gcn":
-            _aggregate_bwd(d_agg, block, denom, True, d_h)
-        elif cfg.encoder == "sage":
-            d_self, d_neigh = np.split(d_agg, 2, axis=1)
-            _aggregate_bwd(d_neigh, block, denom, False, d_h)
-            np.add.at(d_h, block.self_idx, d_self)
-        else:
-            np.add.at(d_h, block.self_idx, d_agg)
-        grad = d_h
+        grad = sum(op.T @ part for op, part in zip(ops, np.split(d_agg, len(ops), axis=1)))
     return grad
 
 
@@ -307,8 +270,6 @@ def encode(cfg: ModelConfig, w: ModelWeights, g_or_blocks, x: np.ndarray) -> np.
         if isinstance(g_or_blocks, Graph)
         else list(g_or_blocks)
     )
-    if cfg.theory_mode:
-        return theory_forward(w, blocks[0].indptr, blocks[0].nbr, x)
     emb, _ = encode_with_tape(cfg, w, blocks, x)
     return emb
 
@@ -394,19 +355,19 @@ def _sigmoid(x):
 # theory model: 1-layer linear GCN, plain neighbor mean, sigmoid output
 
 
-def theory_forward(w: ModelWeights, indptr: np.ndarray, nbr: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sigmoid(mean-neighbor-features @ W) per destination row.
+def theory_forward(weight: np.ndarray, indptr: np.ndarray, nbr: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sigmoid(mean-neighbor-features @ weight) per destination row.
 
-    The adjacency view may be asymmetric (used for hypothetical partition
-    placements); rows with no neighbors aggregate to zero.
+    ``weight`` has shape (in_dim, 1). The adjacency view may be asymmetric
+    (used for hypothetical partition placements); rows with no neighbors
+    aggregate to zero.
     """
-    block = Block(num_src=x.shape[0], indptr=indptr, nbr=nbr, self_idx=np.arange(len(indptr) - 1))
-    agg, _ = _aggregate_fwd(np.asarray(x, dtype=np.float64), block, include_self=False)
-    return _sigmoid(agg @ w["enc0.weight"])[:, 0]
+    agg = _neighbor_mean(indptr, nbr, x.shape[0]) @ np.asarray(x, dtype=np.float64)
+    return _sigmoid(agg @ weight)[:, 0]
 
 
 def theory_mean_gradient(
-    w: ModelWeights,
+    weight: np.ndarray,
     indptr: np.ndarray,
     nbr: np.ndarray,
     x: np.ndarray,
@@ -418,11 +379,8 @@ def theory_mean_gradient(
     The mean per-node gradient equals one backward pass of the batch-mean
     loss, because the loss is additive over nodes.
     """
-    x = np.asarray(x, dtype=np.float64)
-    block = Block(num_src=x.shape[0], indptr=indptr, nbr=nbr, self_idx=np.arange(len(indptr) - 1))
-    agg, _ = _aggregate_fwd(x, block, include_self=False)
-    agg = agg[rows]
-    z = _sigmoid(agg @ w["enc0.weight"])[:, 0]
+    agg = _neighbor_mean(indptr, nbr, x.shape[0])[rows] @ np.asarray(x, dtype=np.float64)
+    z = _sigmoid(agg @ weight)[:, 0]
     loss, dz = loss_l2(z, np.asarray(targets, dtype=np.float64)[rows])
     dpre = dz * z * (1.0 - z)
     grad = agg.T @ dpre[:, None]

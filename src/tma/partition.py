@@ -60,7 +60,6 @@ class Subgraph:
     this trainer; ``global_ids`` maps local ids back to the parent graph.
     """
 
-    parent: Graph
     local_graph: Graph
     features: np.ndarray
     global_ids: np.ndarray
@@ -307,7 +306,6 @@ def induce_subgraphs(
         local_graph = Graph.from_edges(len(nodes), local)
         out.append(
             Subgraph(
-                parent=train_graph,
                 local_graph=local_graph,
                 features=features[nodes],
                 global_ids=nodes,

@@ -190,8 +190,7 @@ def empirical_initial_gradients(
     with no in-scope neighbors are skipped (their neighbor mean is
     undefined in the analysis).
     """
-    cfg = nn.ModelConfig(in_dim=x.shape[1], encoder="gcn", layers=1, theory_mode=True)
-    w = nn.init_weights(cfg)
+    w = np.zeros((x.shape[1], 1))
     targets = y.labels.astype(np.float64)
     class1 = y.labels == 1
     out = []
@@ -215,8 +214,7 @@ def trainer_gradient_spread(g: Graph, x: np.ndarray, y: NodeLabels, p: Partition
 
     Trainers whose local view offers no eligible class-1 node are skipped.
     """
-    cfg = nn.ModelConfig(in_dim=x.shape[1], encoder="gcn", layers=1, theory_mode=True)
-    w = nn.init_weights(cfg)
+    w = np.zeros((x.shape[1], 1))
     targets = y.labels.astype(np.float64)
     grads = []
     for i in range(p.num_trainers):

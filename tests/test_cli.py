@@ -1,6 +1,8 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,10 +172,13 @@ class TestFailureSweep:
 
 class TestErrorPaths:
     def test_unknown_flag_exits_2(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tma.cli", "generate", "--bogus", "1", "--out", "x"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()

@@ -290,7 +290,6 @@ class TestTmaProtocol:
         from tma.partition import Subgraph
 
         empty = Subgraph(
-            parent=train,
             local_graph=Graph.from_edges(3, np.empty((0, 2))),
             features=x[:3],
             global_ids=np.arange(3),

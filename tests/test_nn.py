@@ -21,6 +21,7 @@ from tma.nn import (
     weights_to_bytes,
     zero_grads,
 )
+from tma.sampling import build_mfg
 
 
 def star_graph(leaves=4):
@@ -90,22 +91,30 @@ def test_mlp_is_graph_agnostic():
 
 def test_theory_mode_zero_weights_outputs_half():
     g, x = random_graph(seed=2)
-    cfg = ModelConfig(in_dim=x.shape[1], encoder="gcn", layers=1, theory_mode=True)
-    w = init_weights(cfg)
-    out = encode(cfg, w, g, x)
+    out = theory_forward(np.zeros((x.shape[1], 1)), g.indptr, g.indices, x)
     assert np.all(out == 0.5)
 
 
 def test_theory_forward_is_plain_neighbor_mean():
-    g = star_graph(2)  # center 0, leaves 1, 2
-    x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    cfg = ModelConfig(in_dim=2, encoder="gcn", layers=1, theory_mode=True)
-    w = init_weights(cfg)
-    w.tensors["enc0.weight"][:] = np.array([[2.0], [-1.0]])
-    out = theory_forward(w, g.indptr, g.indices, x)
-    # center averages two [0,1] leaves -> g = -1; leaves see [1,0] -> g = 2
-    expect = 1.0 / (1.0 + np.exp(-np.array([-1.0, 2.0, 2.0])))
-    assert np.allclose(out, expect)
+    cases = [
+        # center 0 averages two [0,1] leaves -> -1; leaves 1, 2 see [1,0] -> 2
+        (
+            star_graph(2),
+            np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+            np.array([[2.0], [-1.0]]),
+            [-1.0, 2.0, 2.0],
+        ),
+        # unit rows after huge ones keep their own mean (no prefix-sum cancellation)
+        (
+            Graph.from_edges(4, np.array([[0, 1], [2, 3]])),
+            np.array([[1e17], [1e17], [1.0], [1.0]]),
+            np.array([[1.0]]),
+            [1e17, 1e17, 1.0, 1.0],
+        ),
+    ]
+    for g, x, weight, pre in cases:
+        out = theory_forward(weight, g.indptr, g.indices, x)
+        assert np.allclose(out, 1.0 / (1.0 + np.exp(-np.array(pre))))
 
 
 class TestDecoder:
@@ -165,9 +174,16 @@ def relative_gap(a, b):
     return np.linalg.norm(a - b) / denom
 
 
-@pytest.mark.parametrize("encoder", ["gcn", "sage", "mlp"])
+@pytest.mark.parametrize(
+    "encoder, sampled",
+    [
+        pytest.param(e, sampled, id=e + ("-mfg" if sampled else ""))
+        for sampled in (False, True)
+        for e in ("gcn", "sage", "mlp")
+    ],
+)
 @pytest.mark.parametrize("decoder_layers", [1, 2])
-def test_full_model_gradients_match_finite_differences(encoder, decoder_layers):
+def test_full_model_gradients_match_finite_differences(encoder, decoder_layers, sampled):
     g, x = random_graph(n=10, seed=6)
     cfg = ModelConfig(
         in_dim=x.shape[1],
@@ -178,11 +194,17 @@ def test_full_model_gradients_match_finite_differences(encoder, decoder_layers):
         seed=3,
     )
     w = init_weights(cfg)
-    blocks = full_graph_blocks(g, cfg.layers)
     rng = np.random.default_rng(1)
     u = rng.integers(0, g.num_nodes, size=5)
     v = rng.integers(0, g.num_nodes, size=5)
     labels = rng.integers(0, 2, size=5).astype(float)
+    if sampled:
+        # sources differ from destinations, so the transposed operators are exercised
+        mfg = build_mfg(g, np.concatenate([u, v]), (2, 2), np.random.default_rng(0))
+        blocks, x = mfg.blocks, x[mfg.input_nodes]
+        u, v = mfg.output_positions(u), mfg.output_positions(v)
+    else:
+        blocks = full_graph_blocks(g, cfg.layers)
 
     _, grads = link_loss_and_grads(cfg, w, blocks, x, u, v, labels)
 
@@ -203,9 +225,7 @@ def test_full_model_gradients_match_finite_differences(encoder, decoder_layers):
 
 def test_theory_gradient_matches_finite_differences():
     g, x = random_graph(n=10, seed=8)
-    cfg = ModelConfig(in_dim=x.shape[1], encoder="gcn", layers=1, theory_mode=True)
-    w = init_weights(cfg)
-    w.tensors["enc0.weight"][:] = np.random.default_rng(2).normal(size=(x.shape[1], 1))
+    w = np.random.default_rng(2).normal(size=(x.shape[1], 1))
     targets = (np.arange(g.num_nodes) % 2).astype(float)
     rows = np.arange(g.num_nodes)
 
@@ -214,14 +234,14 @@ def test_theory_gradient_matches_finite_differences():
     eps = 1e-5
     num = np.zeros_like(grad)
     for i in range(grad.size):
-        orig = w.tensors["enc0.weight"].reshape(-1)[i]
-        w.tensors["enc0.weight"].reshape(-1)[i] = orig + eps
+        orig = w.reshape(-1)[i]
+        w.reshape(-1)[i] = orig + eps
         zp = theory_forward(w, g.indptr, g.indices, x)
         lp, _ = loss_l2(zp[rows], targets[rows])
-        w.tensors["enc0.weight"].reshape(-1)[i] = orig - eps
+        w.reshape(-1)[i] = orig - eps
         zm = theory_forward(w, g.indptr, g.indices, x)
         lm, _ = loss_l2(zm[rows], targets[rows])
-        w.tensors["enc0.weight"].reshape(-1)[i] = orig
+        w.reshape(-1)[i] = orig
         num.reshape(-1)[i] = (lp - lm) / (2 * eps)
     assert relative_gap(grad, num) < 1e-5
 
@@ -339,5 +359,3 @@ def test_config_validation():
         ModelConfig(in_dim=2, encoder="transformer")
     with pytest.raises(nn.NnError):
         ModelConfig(in_dim=2, layers=0)
-    with pytest.raises(nn.NnError):
-        ModelConfig(in_dim=2, encoder="sage", layers=1, theory_mode=True)
