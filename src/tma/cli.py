@@ -173,10 +173,23 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _check_same_graph(graph, features, splits) -> None:
+    """Features and splits must belong to ``graph``: one feature row per node,
+    and every split edge and negative a node id of it."""
+    n = graph.num_nodes
+    if len(features) != n:
+        raise GraphError(f"features have {len(features)} rows but the graph has {n} nodes")
+    for name in ("train_edges", "val_edges", "test_edges", "neg_tails"):
+        ids = getattr(splits, name)
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise GraphError(f"splits {name} name node ids outside the graph's {n} nodes")
+
+
 def _load_training_inputs(args, cfg: ExperimentConfig):
     train_graph = fileio.load_graph(args.graph)
     features = fileio.load_features(args.features)
     splits = fileio.load_splits(args.splits)
+    _check_same_graph(train_graph, features, splits)
     if getattr(args, "partition", None):
         part = fileio.load_partition(args.partition)
     else:
@@ -237,6 +250,7 @@ def cmd_eval(args) -> int:
     graph = fileio.load_graph(args.graph)
     features = fileio.load_features(args.features)
     splits = fileio.load_splits(args.splits)
+    _check_same_graph(graph, features, splits)
     model = build_model_config(cfg, features.shape[1])
     weights = load_weights(args.weights, model)
     res = evaluate(weights, model, graph, features, splits, args.split)

@@ -194,7 +194,7 @@ def load_partition(path) -> Partition:
     if len(assignment) and assignment.max() >= m:
         bad = int(np.argmax(assignment >= m))
         raise ParseError(f"{path}: trainer id out of range in record {bad}")
-    return Partition(assignment=assignment, num_trainers=m, scheme="from_file")
+    return Partition(assignment=assignment, num_trainers=m)
 
 
 # --- text edge list -------------------------------------------------------

@@ -29,8 +29,6 @@ class Partition:
 
     assignment: np.ndarray
     num_trainers: int
-    scheme: str = "unspecified"
-    num_clusters: int | None = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.assignment, dtype=np.int32))
@@ -99,7 +97,6 @@ def partition_random_node(g: Graph, num_trainers: int, seed: int = 0) -> Partiti
     return Partition(
         assignment=rng.integers(0, num_trainers, size=g.num_nodes),
         num_trainers=num_trainers,
-        scheme="random_node",
     )
 
 
@@ -246,7 +243,7 @@ def partition_min_cut(
 ) -> Partition:
     """Low-cut balanced partition: one cluster per trainer, identity mapping."""
     labels = cluster(g, num_trainers, seed=seed, slack=slack)
-    return Partition(assignment=labels, num_trainers=num_trainers, scheme="min_cut")
+    return Partition(assignment=labels, num_trainers=num_trainers)
 
 
 def partition_super_node(
@@ -274,12 +271,7 @@ def partition_super_node(
     order = rng.permutation(num_clusters)
     cluster_to_trainer = np.empty(num_clusters, dtype=np.int64)
     cluster_to_trainer[order] = np.arange(num_clusters) % num_trainers
-    return Partition(
-        assignment=cluster_to_trainer[labels],
-        num_trainers=num_trainers,
-        scheme="super_node",
-        num_clusters=num_clusters,
-    )
+    return Partition(assignment=cluster_to_trainer[labels], num_trainers=num_trainers)
 
 
 def induce_subgraphs(

@@ -36,7 +36,9 @@ class SimAborted(RuntimeError):
 
 
 class KvStore:
-    """Shared flag store: ready/<i>, agg, stop, plus informational keys."""
+    """Flag store: ready/<i>, agg, stop, plus informational keys. The in-process
+    endpoints share one; over TCP the server and each trainer hold their own,
+    and the server pushes the flags it sets to the trainers' copies."""
 
     def __init__(self):
         self._data: dict[str, object] = {}

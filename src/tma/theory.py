@@ -153,7 +153,7 @@ def label_aligned_partition(y: NodeLabels, beta: float) -> Partition:
     assignment = np.ones(n, dtype=np.int32)
     assignment[class0[:take0]] = 0
     assignment[class1[: eta - take0]] = 0
-    return Partition(assignment=assignment, num_trainers=2, scheme="label_aligned")
+    return Partition(assignment=assignment, num_trainers=2)
 
 
 def predicted_generator_cut(s: TwoClassSetup, mean_degree: float) -> float:
@@ -242,10 +242,6 @@ class UniformityReport:
     hist_gap_sigma: float
     spread_random: float
     spread_min_cut: float
-
-    @property
-    def spread_ratio(self) -> float:
-        return self.spread_min_cut / max(self.spread_random, 1e-300)
 
 
 def random_partition_uniformity_check(

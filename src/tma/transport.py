@@ -5,9 +5,15 @@ channels (works under both the thread and sim runtimes; weights travel as
 value copies) and length-prefixed TCP framing for multi-process runs.
 
 Wire frame: {frame_len u32, msg_type u8, round u32, trainer u16, payload},
-little-endian; frame_len counts everything after itself. The key-value
-store lives on the server; trainers query and update it with KV_GET /
-KV_SET frames answered by KV_VALUE.
+little-endian; frame_len counts everything after itself. Three frame types:
+KV_SET (``key \x00 tagged value``) both ways, WEIGHTS from a trainer and
+GLOBAL_WEIGHTS from the server. A trainer sends its own keys (``ready/<i>``,
+``steps/<i>``, ``loss/<i>``); the server pushes the flags it sets (``agg``,
+``stop``) to every connected trainer. Each side reads flags from its own
+KvStore, never over the wire. One socket and one reader per connection keep
+order, so a trainer applies ``agg=False`` before the GLOBAL_WEIGHTS frame
+sent after it; when the server's stream ends, the trainer's ``stop`` reads
+True. A peer that sends an undecodable frame is hung up on.
 """
 
 from __future__ import annotations
@@ -17,15 +23,11 @@ import struct
 import threading
 
 from .nn import ModelWeights, weights_from_bytes, weights_to_bytes
-from .runtime import ChannelClosed, ChannelTimeout, KvStore, ThreadChannel
+from .runtime import ChannelClosed, KvStore, ThreadChannel
 
-MSG_READY = 1
 MSG_WEIGHTS = 2
 MSG_GLOBAL_WEIGHTS = 3
-MSG_STOP = 4
-MSG_KV_GET = 5
 MSG_KV_SET = 6
-MSG_KV_VALUE = 7
 
 _HEADER = struct.Struct("<IBIH")  # frame_len, msg_type, round, trainer
 # largest frame_len a reader accepts, so a peer cannot make it buffer up to 4 GiB
@@ -103,31 +105,50 @@ class InProcTrainerEndpoint:
 # TCP framing
 
 
-def _encode_kv_value(value) -> bytes:
+def _encode_kv(key: str, value) -> bytes:
     if value is None:
-        return b"N"
-    if isinstance(value, bool):
-        return b"\x01" if value else b"\x00"
-    if isinstance(value, int):
-        return b"I" + struct.pack("<q", value)
-    if isinstance(value, float):
-        return b"F" + struct.pack("<d", value)
-    raise TransportError(f"unsupported kv value type {type(value).__name__}")
+        tagged = b"N"
+    elif isinstance(value, bool):
+        tagged = b"\x01" if value else b"\x00"
+    elif isinstance(value, int):
+        tagged = b"I" + struct.pack("<q", value)
+    elif isinstance(value, float):
+        tagged = b"F" + struct.pack("<d", value)
+    else:
+        raise TransportError(f"unsupported kv value type {type(value).__name__}")
+    return key.encode() + b"\x00" + tagged
+
+
+_KV_CONSTANTS = {b"N": None, b"\x01": True, b"\x00": False}
+_KV_NUMBERS = {b"I": struct.Struct("<q"), b"F": struct.Struct("<d")}
 
 
 def _decode_kv_value(data: bytes):
     tag, body = data[:1], data[1:]
-    if tag == b"N":
-        return None
-    if tag == b"\x01":
-        return True
-    if tag == b"\x00":
-        return False
-    if tag == b"I":
-        return struct.unpack("<q", body)[0]
-    if tag == b"F":
-        return struct.unpack("<d", body)[0]
-    raise TransportError(f"bad kv value tag {tag!r}")
+    if tag in _KV_CONSTANTS and not body:
+        return _KV_CONSTANTS[tag]
+    if tag in _KV_NUMBERS and len(body) == _KV_NUMBERS[tag].size:
+        return _KV_NUMBERS[tag].unpack(body)[0]
+    raise TransportError(f"bad kv value {data[:16]!r}")
+
+
+def _decode_kv(payload: bytes):
+    key, _, value = payload.partition(b"\x00")
+    return key.decode(), _decode_kv_value(value)  # UnicodeDecodeError is a ValueError
+
+
+# ends a reader loop: EOF, a dead socket, or an undecodable frame (NnError is a ValueError)
+_STREAM_ENDS = (ChannelClosed, OSError, TransportError, ValueError)
+
+
+def _hang_up(sock: socket.socket) -> None:
+    # shutdown first: a bare close() leaves a recv() blocked in another thread
+    # holding the socket open, and the peer would never see EOF
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
 
 
 def send_frame(sock: socket.socket, msg_type: int, round_t: int, trainer: int, payload: bytes = b""):
@@ -155,27 +176,26 @@ def recv_frame(sock: socket.socket):
 
 
 class TcpCoordinator:
-    """Server side of the TCP transport: listener, per-connection readers, kv."""
+    """Server side of the TCP transport: listener, per-connection readers, kv.
+    A connection's first frame claims its trainer id; kv_set pushes to all."""
 
     def __init__(self, trainer_ids, fingerprint: str, host: str = "127.0.0.1", port: int = 0):
         self.kv = KvStore()
         self.trainer_ids = sorted(trainer_ids)
         self._fingerprint = fingerprint
         self._inbox = {i: ThreadChannel() for i in self.trainer_ids}
-        self._conns: dict[int, socket.socket] = {}
-        self._send_locks: dict[int, threading.Lock] = {}
+        self._conns: dict[int, tuple[socket.socket, threading.Lock]] = {}
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
-        self._accepting = True
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        threading.Thread(target=self._accept_loop, daemon=True).start()
 
     def _accept_loop(self):
-        while self._accepting:
+        while True:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             threading.Thread(target=self._reader_loop, args=(conn,), daemon=True).start()
 
     def _reader_loop(self, conn: socket.socket):
@@ -184,40 +204,35 @@ class TcpCoordinator:
             while True:
                 msg_type, round_t, trainer, payload = recv_frame(conn)
                 if trainer_id is None:
+                    entry = (conn, threading.Lock())
+                    if trainer not in self._inbox or self._conns.setdefault(trainer, entry) is not entry:
+                        raise TransportError(f"trainer id {trainer} is unknown or taken")
                     trainer_id = trainer
-                    if trainer_id not in self._inbox:
-                        raise TransportError(f"unknown trainer id {trainer_id}")
-                    self._conns[trainer_id] = conn
-                    self._send_locks[trainer_id] = threading.Lock()
-                if msg_type == MSG_READY:
-                    self.kv.set(f"ready/{trainer}", True)
-                elif msg_type == MSG_KV_SET:
-                    key, _, value = payload.partition(b"\x00")
-                    self.kv.set(key.decode(), _decode_kv_value(value))
-                elif msg_type == MSG_KV_GET:
-                    key = payload.decode()
-                    reply = payload + b"\x00" + _encode_kv_value(self.kv.get(key))
-                    self._send(trainer, MSG_KV_VALUE, 0, reply)
+                elif trainer != trainer_id:
+                    raise TransportError(f"frame for trainer {trainer} on trainer {trainer_id}'s connection")
+                if msg_type == MSG_KV_SET:
+                    self.kv.set(*_decode_kv(payload))
                 elif msg_type == MSG_WEIGHTS:
                     weights = weights_from_bytes(payload, self._fingerprint)
-                    self._inbox[trainer].put((round_t, weights))
+                    self._inbox[trainer_id].put((round_t, weights))
                 else:
                     raise TransportError(f"unexpected frame type {msg_type} from trainer")
-        except (ChannelClosed, OSError):
+        except _STREAM_ENDS:
             pass
         finally:
             if trainer_id is not None:
                 self._inbox[trainer_id].close()
+            _hang_up(conn)
 
     def _send(self, trainer_id: int, msg_type: int, round_t: int, payload: bytes):
-        conn = self._conns.get(trainer_id)
-        if conn is None:
-            raise ChannelClosed
-        with self._send_locks[trainer_id]:
+        # as in-process, a send to a dead trainer is dropped; recv_weights then
+        # raises ChannelClosed for it, because its reader has closed its inbox
+        conn, lock = self._conns[trainer_id]
+        with lock:
             try:
                 send_frame(conn, msg_type, round_t, trainer_id, payload)
             except OSError:
-                raise ChannelClosed from None
+                pass
 
     # endpoint API
     def kv_get(self, key, default=None):
@@ -225,6 +240,9 @@ class TcpCoordinator:
 
     def kv_set(self, key, value):
         self.kv.set(key, value)
+        payload = _encode_kv(key, value)
+        for trainer_id in list(self._conns):
+            self._send(trainer_id, MSG_KV_SET, 0, payload)
 
     def recv_weights(self, trainer_id: int, timeout=None):
         return self._inbox[trainer_id].get(timeout)
@@ -233,55 +251,44 @@ class TcpCoordinator:
         self._send(trainer_id, MSG_GLOBAL_WEIGHTS, round_t, weights_to_bytes(weights))
 
     def close(self):
-        self._accepting = False
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        for trainer_id, conn in list(self._conns.items()):
-            try:
-                self._send(trainer_id, MSG_STOP, 0, b"")
-            except ChannelClosed:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+        _hang_up(self._listener)
+        for conn, _ in list(self._conns.values()):
+            _hang_up(conn)
 
 
 class TcpTrainerEndpoint:
-    """Trainer side: one socket, a reader thread demuxing pushed frames."""
+    """Trainer side: one socket, and a reader thread that applies pushed flags
+    to a local KvStore and queues global weights."""
 
     def __init__(self, address, trainer_id: int, fingerprint: str, connect_timeout=10.0):
         self.trainer_id = trainer_id
         self._fingerprint = fingerprint
+        self.kv = KvStore()
         self._sock = socket.create_connection(address, timeout=connect_timeout)
         self._sock.settimeout(None)
+        # a weights frame follows small KV_SET frames; with Nagle on, it would
+        # wait for their ACK, which the peer may delay by up to 40 ms
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
         self._global_q = ThreadChannel()
-        self._kv_q = ThreadChannel()
-        self._stopped = False
-        self._reader = threading.Thread(target=self._reader_loop, daemon=True)
-        self._reader.start()
+        threading.Thread(target=self._reader_loop, daemon=True).start()
 
     def _reader_loop(self):
         try:
             while True:
                 msg_type, round_t, _, payload = recv_frame(self._sock)
-                if msg_type == MSG_GLOBAL_WEIGHTS:
+                if msg_type == MSG_KV_SET:
+                    self.kv.set(*_decode_kv(payload))
+                elif msg_type == MSG_GLOBAL_WEIGHTS:
                     self._global_q.put((round_t, weights_from_bytes(payload, self._fingerprint)))
-                elif msg_type == MSG_KV_VALUE:
-                    _, _, value = payload.partition(b"\x00")
-                    self._kv_q.put(_decode_kv_value(value))
-                elif msg_type == MSG_STOP:
-                    self._stopped = True
                 else:
                     raise TransportError(f"unexpected frame type {msg_type} from server")
-        except (ChannelClosed, OSError):
+        except _STREAM_ENDS:
             pass
         finally:
+            self.kv.set("stop", True)
             self._global_q.close()
-            self._kv_q.close()
+            _hang_up(self._sock)
 
     def _send(self, msg_type: int, round_t: int, payload: bytes = b""):
         with self._send_lock:
@@ -291,20 +298,10 @@ class TcpTrainerEndpoint:
                 raise ChannelClosed from None
 
     def kv_get(self, key, default=None):
-        if self._stopped and key == "stop":
-            return True
-        self._send(MSG_KV_GET, 0, key.encode())
-        try:
-            value = self._kv_q.get(timeout=30.0)
-        except ChannelTimeout:
-            raise TransportError("timed out waiting for a frame") from None
-        return default if value is None else value
+        return self.kv.get(key, default)
 
     def kv_set(self, key, value):
-        if key == f"ready/{self.trainer_id}" and value is True:
-            self._send(MSG_READY, 0)
-        else:
-            self._send(MSG_KV_SET, 0, key.encode() + b"\x00" + _encode_kv_value(value))
+        self._send(MSG_KV_SET, 0, _encode_kv(key, value))
 
     def send_weights(self, round_t: int, weights: ModelWeights):
         self._send(MSG_WEIGHTS, round_t, weights_to_bytes(weights))
@@ -313,7 +310,4 @@ class TcpTrainerEndpoint:
         return self._global_q.get(timeout)
 
     def close(self):
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        _hang_up(self._sock)

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tma.cli import convergence_time, main
+from tma import fileio
+from tma.cli import build_model_config, convergence_time, main
 from tma.config import ConfigError, ExperimentConfig
 from tma.coordination import MetricsRecord
+from tma.nn import init_weights, save_weights
 
 
 def run_cli(args):
@@ -199,6 +201,51 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip()
         assert err.count("\n") == 0
         assert "trainers" in err and "homophily" in err
+
+
+class TestInputsFromDifferentGraphs:
+    @pytest.fixture
+    def artifacts(self, tmp_path, small_cfg):
+        """Generated and split graphs of 300 ("big") and 120 ("small") nodes,
+        plus a checkpoint for the config's model."""
+        for name, nodes in (("big", "300"), ("small", "120")):
+            prefix = str(tmp_path / name)
+            assert run_cli(["generate", "--config", str(small_cfg), "--nodes", nodes,
+                            "--out", prefix]) == 0
+            assert run_cli(["split", "--config", str(small_cfg), "--graph", prefix + ".graph",
+                            "--out", prefix]) == 0
+        dim = fileio.load_features(tmp_path / "small.feat").shape[1]
+        model = build_model_config(ExperimentConfig.from_sources(small_cfg, {}), dim)
+        save_weights(init_weights(model), tmp_path / "w.tmaw")
+        return tmp_path
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "graph, features, splits, message",
+        [
+            pytest.param("small", "big", "small", "features have 300 rows but the graph has 120 nodes",
+                         id="extra-feature-rows"),
+            pytest.param("big", "small", "big", "features have 120 rows but the graph has 300 nodes",
+                         id="missing-feature-rows"),
+            pytest.param("small", "small", "big", "outside the graph's 120 nodes",
+                         id="split-ids-outside"),
+        ],
+    )
+    def test_one_line_error(self, artifacts, small_cfg, capsys, command, graph, features,
+                            splits, message):
+        args = [
+            command, "--config", str(small_cfg),
+            "--graph", str(artifacts / f"{graph}.train.graph"),
+            "--features", str(artifacts / f"{features}.feat"),
+            "--splits", str(artifacts / f"{splits}.splits"),
+        ]
+        if command == "eval":
+            args += ["--weights", str(artifacts / "w.tmaw")]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:")
+        assert "\n" not in err
+        assert message in err
 
 
 def test_convergence_time_definition():

@@ -1,6 +1,7 @@
 import math
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -9,22 +10,36 @@ import pytest
 from tma.coordination import (
     ProtocolError,
     RunConfig,
+    TrainerLog,
     TrainerSpec,
     inject_failure,
+    run_evaluator,
+    run_server,
+    run_trainer,
     run_training,
 )
 from tma.graph import build_splits, generate_synthetic
-from tma.nn import ModelConfig
+from tma.nn import ModelConfig, init_weights
 from tma.partition import induce_subgraphs, partition_random_node
 from tma.runtime import (
     ChannelClosed,
     ChannelTimeout,
     DeadlockError,
+    RealClock,
     SimRuntime,
     ThreadChannel,
     ThreadRuntime,
 )
-from tma.transport import MAX_FRAME_LEN, TransportError, recv_frame
+from tma import transport
+from tma.transport import (
+    MAX_FRAME_LEN,
+    MSG_KV_SET,
+    MSG_WEIGHTS,
+    TcpCoordinator,
+    TcpTrainerEndpoint,
+    TransportError,
+    recv_frame,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +440,17 @@ class TestGgs:
         assert ggs.trainer_logs[0].steps < median_tma
 
 
+def _frame(msg_type, trainer, payload=b""):
+    return struct.pack("<IBIH", len(payload) + 7, msg_type, 0, trainer) + payload
+
+
+def _wait_for(condition, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.005)
+
+
 class TestThreadRuntimeAndTcp:
     def test_threads_real_clock_smoke(self):
         train, x, y, splits = make_dataset(seed=15, n=120)
@@ -437,7 +463,15 @@ class TestThreadRuntimeAndTcp:
         assert res.rounds >= 1
         assert 0 < res.test_mrr <= 1
 
-    def test_tcp_transport_end_to_end(self):
+    def test_tcp_transport_end_to_end(self, monkeypatch):
+        frames = []
+        real_send_frame = transport.send_frame
+
+        def counting_send_frame(sock, msg_type, *rest):
+            frames.append(msg_type)
+            real_send_frame(sock, msg_type, *rest)
+
+        monkeypatch.setattr(transport, "send_frame", counting_send_frame)
         train, x, y, splits = make_dataset(seed=16, n=120)
         specs = make_specs(train, x, 2, step_time=0.0)
         cfg = RunConfig(
@@ -451,6 +485,9 @@ class TestThreadRuntimeAndTcp:
         assert 0 < res.test_mrr <= 1
         for log in res.trainer_logs.values():
             assert log.steps > 0
+        # flags are pushed per round, not polled per step
+        assert len(frames) <= 8 * len(specs) * (res.rounds + 2)
+        assert len(frames) < sum(log.steps for log in res.trainer_logs.values())
 
     def test_thread_channel_get_times_out(self):
         ch = ThreadChannel()
@@ -469,6 +506,158 @@ class TestThreadRuntimeAndTcp:
             a.sendall(struct.pack("<IBIH", frame_len, 2, 0, 0) + b"\x00" * 64)
             with pytest.raises(TransportError, match="frame length"):
                 recv_frame(b)
+
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            pytest.param([_frame(MSG_KV_SET, 7, b"ready/7\x00\x01")], id="unknown-trainer"),
+            pytest.param([_frame(MSG_KV_SET, 0, b"ready/0\x00I\x01")], id="short-kv-value"),
+            pytest.param([_frame(MSG_KV_SET, 0, b"\xff\x00\x01")], id="non-utf8-kv-key"),
+            pytest.param([_frame(MSG_WEIGHTS, 0, b"junk")], id="bad-weights"),
+            pytest.param([_frame(99, 0)], id="unknown-frame-type"),
+            pytest.param(
+                [_frame(MSG_KV_SET, 0, b"ready/0\x00\x01"), _frame(MSG_KV_SET, 1, b"ready/1\x00\x01")],
+                id="switches-trainer",
+            ),
+        ],
+    )
+    def test_bad_trainer_peer_is_hung_up_on(self, monkeypatch, frames):
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        before = set(threading.enumerate())
+        coord = TcpCoordinator([0, 1], "fp")
+        try:
+            with socket.create_connection(coord.address, timeout=1.0) as peer:
+                peer.sendall(b"".join(frames))
+                assert peer.recv(1) == b""  # EOF within the 1 s timeout
+            # only the claimed trainer (if any) is dropped
+            with pytest.raises(ChannelTimeout):
+                coord.recv_weights(1, timeout=0.01)
+            assert coord.kv_get("ready/1") is None
+        finally:
+            coord.close()
+            for thread in set(threading.enumerate()) - before:
+                thread.join(1.0)
+                assert not thread.is_alive()
+        assert errors == []
+
+    def test_second_claim_of_a_trainer_id_is_refused(self):
+        coord = TcpCoordinator([0], "fp")
+        first = TcpTrainerEndpoint(coord.address, 0, "fp")
+        try:
+            first.kv_set("ready/0", False)
+            _wait_for(lambda: coord.kv_get("ready/0") is False)
+            with socket.create_connection(coord.address, timeout=1.0) as intruder:
+                intruder.sendall(_frame(MSG_KV_SET, 0, b"ready/0\x00\x01"))
+                assert intruder.recv(1) == b""
+            assert coord.kv_get("ready/0") is False
+            coord.kv_set("agg", True)
+            _wait_for(lambda: first.kv_get("agg") is True)
+            first.kv_set("ready/0", True)
+            _wait_for(lambda: coord.kv_get("ready/0") is True)
+        finally:
+            first.close()
+            coord.close()
+
+    def test_kv_set_skips_a_closed_trainer(self):
+        coord = TcpCoordinator([0, 1], "fp")
+        eps = [TcpTrainerEndpoint(coord.address, i, "fp") for i in (0, 1)]
+        try:
+            for ep in eps:
+                ep.kv_set(f"ready/{ep.trainer_id}", True)
+            _wait_for(lambda: coord.kv_get("ready/0") and coord.kv_get("ready/1"))
+            eps[0].close()
+            with pytest.raises(ChannelClosed):
+                coord.recv_weights(0, timeout=1.0)
+            coord.kv_set("agg", True)
+            coord.kv_set("stop", False)
+            _wait_for(lambda: eps[1].kv_get("agg") is True and eps[1].kv_get("stop") is False)
+        finally:
+            for ep in eps:
+                ep.close()
+            coord.close()
+
+    def test_trainer_that_dies_after_sending_is_dropped(self):
+        train, x, y, splits = make_dataset(seed=18, n=120)
+        specs = make_specs(train, x, 2, step_time=0.0)
+        cfg = RunConfig(
+            model=small_model(x), train_budget=1.0, agg_interval=0.2,
+            batch_size=8, fanouts=(2, 2),
+        )
+        fp = cfg.model.fingerprint()
+        w = init_weights(cfg.model)
+        coord = TcpCoordinator([0, 1], fp)
+        jobs, results = ThreadChannel(), ThreadChannel()
+        box = {}
+        server = threading.Thread(
+            target=lambda: box.update(result=run_server(cfg, coord, w, RealClock(), jobs, results)),
+            daemon=True,
+        )
+        others = [
+            threading.Thread(target=run_evaluator, args=(jobs, results, lambda *_: 0.5), daemon=True),
+            threading.Thread(
+                target=run_trainer,
+                args=(specs[1], cfg, TcpTrainerEndpoint(coord.address, 1, fp), RealClock(),
+                      TrainerLog(trainer_id=1)),
+                daemon=True,
+            ),
+        ]
+        dying = TcpTrainerEndpoint(coord.address, 0, fp)
+        try:
+            for thread in [server, *others]:
+                thread.start()
+            dying.kv_set("ready/0", True)
+            assert dying.recv_global(timeout=2.0)[0] == 0
+            _wait_for(lambda: dying.kv_get("agg") is True)
+            dying.send_weights(0, w)
+            dying.close()  # gone before this round's global weights reach it
+            server.join(5.0)
+            assert not server.is_alive()
+        finally:
+            jobs.close()
+            coord.close()
+        assert box["result"].live_ids == [1]
+        assert box["result"].rounds >= 2
+
+    def test_trainer_stops_when_the_server_goes(self):
+        coord = TcpCoordinator([0], "fp")
+        ep = TcpTrainerEndpoint(coord.address, 0, "fp")
+        try:
+            ep.kv_set("ready/0", True)
+            _wait_for(lambda: coord.kv_get("ready/0"))
+            coord.kv_set("stop", False)
+            _wait_for(lambda: ep.kv_get("stop") is False)
+            coord.close()
+            _wait_for(lambda: ep.kv_get("stop") is True)
+            with pytest.raises(ChannelClosed):
+                ep.recv_global(timeout=1.0)
+        finally:
+            ep.close()
+            coord.close()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            pytest.param(_frame(MSG_KV_SET, 0, b"agg\x00F\x00"), id="short-kv-value"),
+            pytest.param(_frame(transport.MSG_GLOBAL_WEIGHTS, 0, b"junk"), id="bad-weights"),
+            pytest.param(_frame(MSG_WEIGHTS, 0), id="unexpected-frame-type"),
+        ],
+    )
+    def test_bad_server_frame_stops_the_trainer(self, monkeypatch, frame):
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            ep = TcpTrainerEndpoint(listener.getsockname(), 0, "fp")
+            server, _ = listener.accept()
+            with server:
+                server.settimeout(1.0)
+                server.sendall(frame)
+                assert server.recv(1) == b""
+            assert ep.kv_get("stop") is True
+            with pytest.raises(ChannelClosed):
+                ep.recv_global(timeout=1.0)
+            ep.close()
+        assert errors == []
 
     def test_tcp_rejected_under_sim(self):
         train, x, y, splits = make_dataset(seed=17, n=120)

@@ -213,7 +213,7 @@ class TestSuperNode:
 class TestInduceSubgraphs:
     def test_single_trainer_is_whole_graph(self):
         g, x, y = synthetic(400, seed=1)
-        p = Partition(assignment=np.zeros(400), num_trainers=1, scheme="test")
+        p = Partition(assignment=np.zeros(400), num_trainers=1)
         subs = induce_subgraphs(g, x, p)
         assert len(subs) == 1
         assert subs[0].num_edges == g.num_edges
@@ -229,7 +229,7 @@ class TestInduceSubgraphs:
 
     def test_path_split(self):
         g = Graph.from_edges(3, np.array([[0, 1], [1, 2]]))
-        p = Partition(assignment=np.array([0, 1, 0]), num_trainers=2, scheme="test")
+        p = Partition(assignment=np.array([0, 1, 0]), num_trainers=2)
         x = np.eye(3, dtype=np.float32)
         subs = induce_subgraphs(g, x, p)
         assert np.array_equal(subs[0].global_ids, [0, 2])
