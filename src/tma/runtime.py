@@ -4,7 +4,10 @@ The protocol code is written against three tiny abstractions: a clock, a
 duplex channel, and a key-value store. Two runtimes provide them:
 
 * ``ThreadRuntime`` - real threads, monotonic wall clock, queue-backed
-  channels. What production runs use.
+  channels. What production runs use. While its actors run, numpy's
+  OpenBLAS is pinned to one thread, so parallel actors do not each start a
+  BLAS thread per core and oversubscribe the cores; the old count is put
+  back when ``run_all`` returns.
 * ``SimRuntime`` - the same actor code driven by a deterministic
   cooperative scheduler over a virtual clock. Exactly one actor runs at a
   time; actors hand off only inside runtime primitives (sleep, blocking
@@ -14,9 +17,19 @@ duplex channel, and a key-value store. Two runtimes provide them:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import logging
+import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
+
+log = logging.getLogger("tma")
 
 
 class ChannelClosed(Exception):
@@ -97,6 +110,46 @@ class ThreadChannel:
             self._cond.notify_all()
 
 
+def _find_openblas():
+    """(get, set) thread-count functions of the OpenBLAS that numpy ships, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy loaded: dlopen shares it
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@functools.cache
+def _openblas():
+    found = _find_openblas()
+    if found is None:
+        log.warning("numpy's OpenBLAS thread control not found; thread runs leave BLAS threads unpinned")
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block, then put the old count back."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
 class ThreadRuntime:
     def __init__(self):
         self.clock = RealClock()
@@ -120,10 +173,11 @@ class ThreadRuntime:
         self._threads.append(threading.Thread(target=wrapper, name=name, daemon=True))
 
     def run_all(self) -> None:
-        for t in self._threads:
-            t.start()
-        for t in self._threads:
-            t.join()
+        with _one_blas_thread():
+            for t in self._threads:
+                t.start()
+            for t in self._threads:
+                t.join()
         if self._errors:
             raise self._errors[0]
 

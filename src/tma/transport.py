@@ -8,7 +8,8 @@ Wire frame: {frame_len u32, msg_type u8, round u32, trainer u16, payload},
 little-endian; frame_len counts everything after itself. Three frame types:
 KV_SET (``key \x00 tagged value``) both ways, WEIGHTS from a trainer and
 GLOBAL_WEIGHTS from the server. A trainer sends its own keys (``ready/<i>``,
-``steps/<i>``, ``loss/<i>``); the server pushes the flags it sets (``agg``,
+``steps/<i>``, ``loss/<i>``), and the server hangs up on a trainer that
+sets any other key; the server pushes the flags it sets (``agg``,
 ``stop``) to every connected trainer. Each side reads flags from its own
 KvStore, never over the wire. One socket and one reader per connection keep
 order, so a trainer applies ``agg=False`` before the GLOBAL_WEIGHTS frame
@@ -208,10 +209,14 @@ class TcpCoordinator:
                     if trainer not in self._inbox or self._conns.setdefault(trainer, entry) is not entry:
                         raise TransportError(f"trainer id {trainer} is unknown or taken")
                     trainer_id = trainer
+                    own_keys = {f"ready/{trainer}", f"steps/{trainer}", f"loss/{trainer}"}
                 elif trainer != trainer_id:
                     raise TransportError(f"frame for trainer {trainer} on trainer {trainer_id}'s connection")
                 if msg_type == MSG_KV_SET:
-                    self.kv.set(*_decode_kv(payload))
+                    key, value = _decode_kv(payload)
+                    if key not in own_keys:
+                        raise TransportError(f"trainer {trainer_id} may not set {key[:64]!r}")
+                    self.kv.set(key, value)
                 elif msg_type == MSG_WEIGHTS:
                     weights = weights_from_bytes(payload, self._fingerprint)
                     self._inbox[trainer_id].put((round_t, weights))

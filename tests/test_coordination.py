@@ -519,6 +519,8 @@ class TestThreadRuntimeAndTcp:
                 [_frame(MSG_KV_SET, 0, b"ready/0\x00\x01"), _frame(MSG_KV_SET, 1, b"ready/1\x00\x01")],
                 id="switches-trainer",
             ),
+            pytest.param([_frame(MSG_KV_SET, 0, b"stop\x00\x01")], id="sets-server-stop"),
+            pytest.param([_frame(MSG_KV_SET, 0, b"ready/1\x00\x01")], id="sets-another-trainers-key"),
         ],
     )
     def test_bad_trainer_peer_is_hung_up_on(self, monkeypatch, frames):
@@ -534,6 +536,7 @@ class TestThreadRuntimeAndTcp:
             with pytest.raises(ChannelTimeout):
                 coord.recv_weights(1, timeout=0.01)
             assert coord.kv_get("ready/1") is None
+            assert coord.kv_get("stop") is None
         finally:
             coord.close()
             for thread in set(threading.enumerate()) - before:

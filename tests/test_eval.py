@@ -1,26 +1,28 @@
 import numpy as np
 import pytest
 
-from tma.evaluate import EvalError, evaluate, rank_of, ranks_of
+from tma.evaluate import DECODE_CHUNK, EvalError, evaluate, ranks_of
 from tma.graph import build_splits, generate_synthetic
-from tma.nn import ModelConfig, init_weights
+from tma.nn import ModelConfig, decode, encode, init_weights
 
 
 class TestRankOf:
+    """The average rank of a single positive, as a one-row ranks_of call."""
+
     def test_positive_on_top(self):
-        assert rank_of(5.0, np.array([1.0, 2.0, 3.0])) == 1.0
+        assert ranks_of(np.array([5.0]), np.array([[1.0, 2.0, 3.0]])).tolist() == [1.0]
 
     def test_positive_at_bottom(self):
         k = 10
-        assert rank_of(-1.0, np.arange(k, dtype=float)) == k + 1
+        assert ranks_of(np.array([-1.0]), np.arange(k, dtype=float)[None, :]).tolist() == [k + 1]
 
     def test_all_tied(self):
         k = 10
-        assert rank_of(0.5, np.full(k, 0.5)) == (k + 2) / 2
+        assert ranks_of(np.array([0.5]), np.full((1, k), 0.5)).tolist() == [(k + 2) / 2]
 
     def test_single_tie_above_rest(self):
         # ties with exactly one negative, all others strictly below
-        rank = rank_of(2.0, np.array([2.0, 1.0, 0.0, -1.0]))
+        (rank,) = ranks_of(np.array([2.0]), np.array([[2.0, 1.0, 0.0, -1.0]]))
         assert rank == 1.5
         assert 1.0 / rank == pytest.approx(2 / 3)
 
@@ -88,3 +90,21 @@ class TestEvaluate:
         other = ModelConfig(in_dim=self.x.shape[1], encoder="mlp", layers=1, hidden_dim=8)
         with pytest.raises(EvalError):
             evaluate(self.w, other, self.train, self.x, self.splits, "val")
+
+
+def test_chunked_decode_matches_one_call_decode():
+    g, x, _ = generate_synthetic(1000, 12.0, 0.8, seed=3)
+    train, splits = build_splits(g, 0.05, 0.05, 20, seed=4)
+    edges, negs = splits.val_edges, splits.val_negatives
+    n_pos, k = negs.shape
+    assert n_pos > DECODE_CHUNK and n_pos % DECODE_CHUNK != 0
+    cfg = ModelConfig(in_dim=x.shape[1], encoder="gcn", layers=2, hidden_dim=32, seed=5)
+    w = init_weights(cfg)
+
+    emb = encode(cfg, w, train, x)
+    pos = decode(cfg, w, emb[edges[:, 0]], emb[edges[:, 1]])
+    neg = decode(cfg, w, emb[np.repeat(edges[:, 0], k)], emb[negs.ravel()]).reshape(n_pos, k)
+    expected = 1.0 / ranks_of(pos, neg)
+
+    res = evaluate(w, cfg, train, x, splits, "val")
+    assert np.array_equal(res.reciprocal_ranks, expected)

@@ -1,0 +1,72 @@
+import logging
+
+import pytest
+
+from tma import runtime
+from tma.runtime import SimRuntime, ThreadRuntime
+
+
+@pytest.fixture
+def blas():
+    """The real OpenBLAS thread controls, with the count set to 2 for the test."""
+    found = runtime._openblas()
+    if found is None:
+        pytest.skip("numpy's OpenBLAS thread control is not available")
+    get_threads, set_threads = found
+    old = get_threads()
+    set_threads(2)
+    try:
+        yield get_threads
+    finally:
+        set_threads(old)
+
+
+@pytest.fixture
+def no_blas(monkeypatch):
+    """Make the library lookup find nothing, with a fresh per-process cache."""
+    monkeypatch.setattr(runtime, "_find_openblas", lambda: None)
+    runtime._openblas.cache_clear()
+    yield
+    runtime._openblas.cache_clear()
+
+
+def _run(rt, *actors):
+    for i, fn in enumerate(actors):
+        rt.spawn(f"a{i}", fn)
+    rt.run_all()
+
+
+def test_thread_actors_run_with_one_blas_thread(blas):
+    seen = []
+    before = blas()
+    _run(ThreadRuntime(), lambda: seen.append(blas()), lambda: seen.append(blas()))
+    assert before == 2
+    assert seen == [1, 1]
+    assert blas() == 2
+
+
+def test_blas_count_restored_when_an_actor_raises(blas):
+    def boom():
+        raise ValueError("boom")
+
+    with pytest.raises(ValueError, match="boom"):
+        _run(ThreadRuntime(), boom)
+    assert blas() == 2
+
+
+def test_sim_runtime_leaves_blas_count_alone(blas):
+    seen = []
+    _run(SimRuntime(), lambda: seen.append(blas()))
+    assert seen == [2]
+    assert blas() == 2
+
+
+def test_missing_blas_warns_once_and_runs_unpinned(no_blas, caplog):
+    done = []
+    with caplog.at_level(logging.WARNING, logger="tma"):
+        for _ in range(2):
+            _run(ThreadRuntime(), lambda: done.append(True))
+    assert done == [True, True]
+    warnings = [r for r in caplog.records if r.name == "tma" and r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "OpenBLAS" in warnings[0].getMessage()
