@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fileio, theory
 from .config import ConfigError, ExperimentConfig
-from .coordination import RunConfig, TrainerSpec, inject_failure, run_training
+from .coordination import RunConfig, TrainerSpec, run_training
 from .evaluate import evaluate
 from .graph import GraphError, NodeLabels, build_splits, generate_synthetic
 from .nn import ModelConfig, NnError, init_weights, load_weights, save_weights
@@ -223,10 +223,9 @@ def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     train_graph, features, splits, specs = _load_training_inputs(args, cfg)
     model = build_model_config(cfg, features.shape[1])
-    run_cfg = inject_failure(_run_config(cfg, model), cfg.fail_ids)
     result = run_training(
-        run_cfg,
-        specs,
+        _run_config(cfg, model),
+        [s for s in specs if s.trainer_id not in cfg.fail_ids],  # a failed trainer never starts
         train_graph,
         features,
         splits,
@@ -338,8 +337,8 @@ def cmd_failure_sweep(args) -> int:
     rows = []
     for fail_ids in choices:
         result = run_training(
-            inject_failure(base, fail_ids),
-            specs,
+            base,
+            [s for s in specs if s.trainer_id not in fail_ids],
             train_graph,
             features,
             splits,

@@ -2,12 +2,19 @@
 synchronous-gradient baseline mode.
 
 The server owns the round clock: every ``agg_interval`` it raises the
-``agg`` flag, collects exactly one tagged weight set per live trainer,
-averages them, broadcasts the new global weights, and queues a validation
-evaluation. Trainers run local steps continuously and only synchronize
-when they observe the flag between steps, so heterogeneous trainer speeds
-never block each other outside the collection window. The ``stop`` flag is
-monotone; a trainer finishes its current step and exits cleanly.
+``agg`` flag, collects exactly one report per live trainer, averages the
+weights, broadcasts the new global weights, and queues a validation
+evaluation. A report is one message: the round tag, the weights, and the
+trainer's step count and loss EMA for the metrics row. Trainers run local
+steps continuously and only synchronize when they observe the flag between
+steps, so heterogeneous trainer speeds never block each other outside the
+collection window. The ``stop`` flag is monotone; a trainer finishes its
+current step and exits cleanly.
+
+A failed trainer is one that was never started: the caller leaves its spec
+out, and the rounds average the trainers that run. The server waits up to
+``readiness_timeout`` only for a registered trainer that never sets its
+``ready`` flag (a TCP peer that never connects), then goes on without it.
 
 Both modes keep one round book (``_Rounds``): the global weights, metrics
 row and close time of every round, and the evaluations still in flight.
@@ -22,7 +29,6 @@ deterministic simulation used by the acceptance tests.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -74,7 +80,6 @@ class RunConfig:
     mode: str = "tma"
     batch_size: int = 256
     fanouts: tuple = (10, 5)
-    failed: frozenset = frozenset()
     readiness_timeout: float = 30.0
 
     def __post_init__(self):
@@ -84,11 +89,6 @@ class RunConfig:
             raise ProtocolError("need 0 < agg_interval < train_budget")
         if self.batch_size < 1:
             raise ProtocolError("batch_size must be positive")
-
-
-def inject_failure(cfg: RunConfig, fail_ids) -> RunConfig:
-    """Mark trainers as failing to start; the server proceeds with the rest."""
-    return dataclasses.replace(cfg, failed=frozenset(int(i) for i in fail_ids))
 
 
 @dataclass
@@ -258,11 +258,11 @@ def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs
     for i in live:
         endpoint.send_global(i, 0, w_global)
 
+    steps = {i: 0 for i in live}
+    losses = {i: math.nan for i in live}
+
     def tally():
-        return (
-            {i: endpoint.kv_get(f"steps/{i}", 0) for i in live},
-            {i: endpoint.kv_get(f"loss/{i}", math.nan) for i in live},
-        )
+        return {i: steps[i] for i in live}, {i: losses[i] for i in live}
 
     book = _Rounds(clock, w_global, eval_jobs, eval_results)
     t_agg = book.t_start
@@ -272,7 +272,7 @@ def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs
             collected = []
             for i in list(live):
                 try:
-                    tag, w_i = endpoint.recv_weights(i)
+                    tag, w_i, steps[i], losses[i] = endpoint.recv_weights(i)
                 except ChannelClosed:
                     live.remove(i)
                     continue
@@ -302,7 +302,6 @@ def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs
 
 
 def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: TrainerLog):
-    endpoint.kv_set(f"ready/{spec.trainer_id}", False)
     sub = spec.subgraph
     rng = np.random.default_rng(spec.seed)
     degenerate = sub.num_edges == 0 or sub.num_nodes < 2
@@ -335,9 +334,7 @@ def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: Trainer
                 log.step_times.append(clock.now())
                 clock.sleep(spec.step_time)
             if endpoint.kv_get("agg"):
-                endpoint.kv_set(f"steps/{spec.trainer_id}", log.steps)
-                endpoint.kv_set(f"loss/{spec.trainer_id}", float(log.loss_ema))
-                endpoint.send_weights(t, w)
+                endpoint.send_weights(t, w, log.steps, float(log.loss_ema))
                 log.send_rounds.append((t, clock.now()))
                 tag, w = endpoint.recv_global()
                 if tag != t + 1:
@@ -444,11 +441,6 @@ def run_training(
     ids = [s.trainer_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ProtocolError("duplicate trainer ids")
-    unknown = cfg.failed - set(ids)
-    if unknown:
-        raise ProtocolError(f"failure set names unknown trainers {sorted(unknown)}")
-    if cfg.failed and len(cfg.failed) >= len(specs):
-        raise ProtocolError("cannot fail every trainer")
 
     rt = SimRuntime() if runtime == "sim" else ThreadRuntime()
     if runtime == "sim" and transport == "tcp":
@@ -463,7 +455,6 @@ def run_training(
             weights, cfg.model, train_graph, features, splits, split, round_t
         ).mrr
 
-    live_specs = [s for s in specs if s.trainer_id not in cfg.failed]
     result_box: dict[str, RunResult] = {}
     server_ep = None
 
@@ -477,22 +468,19 @@ def run_training(
 
     if cfg.mode == "ggs":
         rt.spawn(
-            "ggs", loop_actor, run_ggs, cfg, live_specs, train_graph, features,
+            "ggs", loop_actor, run_ggs, cfg, specs, train_graph, features,
             initial, rt.clock, eval_jobs, eval_results,
         )
     else:
         logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
         if transport == "inproc":
-            hub = InProcTransports(rt, ids)
-            server_ep = hub.server_endpoint()
-            trainer_ep = hub.trainer_endpoint
+            server_ep = InProcTransports(rt, ids)
+            trainer_ep = server_ep.trainer_endpoint
         else:
-            server_ep = TcpCoordinator(ids, cfg.model.fingerprint(), host=tcp_host)
+            server_ep = TcpCoordinator(ids, cfg.model, host=tcp_host)
 
             def trainer_ep(trainer_id):
-                return TcpTrainerEndpoint(
-                    server_ep.address, trainer_id, cfg.model.fingerprint()
-                )
+                return TcpTrainerEndpoint(server_ep.address, trainer_id, cfg.model)
 
         def trainer_actor(spec):
             endpoint = trainer_ep(spec.trainer_id)
@@ -502,7 +490,7 @@ def run_training(
             "server", loop_actor, run_server, cfg, server_ep, initial, rt.clock,
             eval_jobs, eval_results,
         )
-        for spec in live_specs:
+        for spec in specs:
             rt.spawn(f"trainer-{spec.trainer_id}", trainer_actor, spec)
     rt.spawn("evaluator", run_evaluator, eval_jobs, eval_results, eval_fn)
     rt.run_all()

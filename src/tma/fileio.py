@@ -195,30 +195,3 @@ def load_partition(path) -> Partition:
         bad = int(np.argmax(assignment >= m))
         raise ParseError(f"{path}: trainer id out of range in record {bad}")
     return Partition(assignment=assignment, num_trainers=m)
-
-
-# --- text edge list -------------------------------------------------------
-
-
-def load_edgelist_text(path, num_nodes: int | None = None) -> Graph:
-    """Import a plain "u v" per-line edge list as an undirected graph."""
-    edges = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer endpoint") from exc
-            if u < 0 or v < 0:
-                raise ParseError(f"{path}:{lineno}: negative node id")
-            edges.append((u, v))
-    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    if num_nodes is None:
-        num_nodes = int(arr.max()) + 1 if len(arr) else 0
-    return Graph.from_edges(num_nodes, arr)

@@ -132,18 +132,6 @@ class Graph:
         np.cumsum(indptr, out=indptr)
         return cls(indptr=indptr, indices=dst.astype(np.int32))
 
-    def remove_edges(self, edges: np.ndarray) -> "Graph":
-        """Return a copy with the given undirected edges removed."""
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if len(edges) == 0:
-            return Graph(self.indptr.copy(), self.indices.copy())
-        own = self.edge_array().astype(np.int64)
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        drop = lo * self.num_nodes + hi
-        keys = own[:, 0] * self.num_nodes + own[:, 1]
-        return Graph.from_edges(self.num_nodes, own[~np.isin(keys, drop)])
-
 
 @dataclass(frozen=True)
 class NodeLabels:

@@ -51,6 +51,26 @@ class ModelConfig:
         dec = "->".join([str(self.hidden_dim)] * self.decoder_layers + ["1"])
         return f"{self.encoder}[{enc}];dec[{dec}]"
 
+    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Name and shape of every weight tensor, in checkpoint order."""
+        out = []
+        d_in = self.in_dim
+        for i in range(self.layers):
+            fan_in = 2 * d_in if self.encoder == "sage" else d_in
+            out += [
+                (f"enc{i}.weight", (fan_in, self.hidden_dim)),
+                (f"enc{i}.ln.gain", (self.hidden_dim,)),
+                (f"enc{i}.ln.bias", (self.hidden_dim,)),
+                (f"enc{i}.prelu", (1,)),
+            ]
+            d_in = self.hidden_dim
+        for k in range(self.decoder_layers):
+            last = k == self.decoder_layers - 1
+            out.append((f"dec{k}.weight", (self.hidden_dim, 1 if last else self.hidden_dim)))
+            if not last:
+                out.append((f"dec{k}.prelu", (1,)))
+        return out
+
 
 @dataclass
 class ModelWeights:
@@ -91,28 +111,18 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 def init_weights(cfg: ModelConfig) -> ModelWeights:
     """Seeded Glorot-uniform init; PReLU slopes 0.25, LayerNorm affine identity."""
     rng = np.random.default_rng(cfg.seed)
-    names: list[str] = []
     tensors: dict[str, np.ndarray] = {}
-
-    def add(name, arr):
-        names.append(name)
-        tensors[name] = np.asarray(arr, dtype=np.float64)
-
-    d_in = cfg.in_dim
-    for i in range(cfg.layers):
-        d_out = cfg.hidden_dim
-        fan_in = 2 * d_in if cfg.encoder == "sage" else d_in
-        add(f"enc{i}.weight", _glorot(rng, fan_in, d_out))
-        add(f"enc{i}.ln.gain", np.ones(d_out))
-        add(f"enc{i}.ln.bias", np.zeros(d_out))
-        add(f"enc{i}.prelu", np.array([0.25]))
-        d_in = d_out
-    for k in range(cfg.decoder_layers):
-        last = k == cfg.decoder_layers - 1
-        add(f"dec{k}.weight", _glorot(rng, cfg.hidden_dim, 1 if last else cfg.hidden_dim))
-        if not last:
-            add(f"dec{k}.prelu", np.array([0.25]))
-    return ModelWeights(cfg.fingerprint(), names, tensors)
+    for name, shape in cfg.layout():
+        kind = name.split(".", 1)[1]
+        if kind == "weight":
+            tensors[name] = _glorot(rng, *shape)
+        elif kind == "ln.gain":
+            tensors[name] = np.ones(shape)
+        elif kind == "ln.bias":
+            tensors[name] = np.zeros(shape)
+        else:
+            tensors[name] = np.full(shape, 0.25)
+    return ModelWeights(cfg.fingerprint(), list(tensors), tensors)
 
 
 def zero_grads(w: ModelWeights) -> dict[str, np.ndarray]:
@@ -509,8 +519,9 @@ def weights_to_bytes(w: ModelWeights) -> bytes:
     return b"".join(parts)
 
 
-def weights_from_bytes(data: bytes, fingerprint: str) -> ModelWeights:
-    """Parse a checkpoint; the caller supplies the architecture fingerprint."""
+def weights_from_bytes(data: bytes, cfg: ModelConfig) -> ModelWeights:
+    """Parse a checkpoint of ``cfg``'s model: its fingerprint digest and every
+    tensor's name and shape must match the model's."""
     view = memoryview(data)
     off = 0
 
@@ -527,24 +538,28 @@ def weights_from_bytes(data: bytes, fingerprint: str) -> ModelWeights:
     (version,) = struct.unpack("<H", take(2, "version"))
     if version != _WEIGHTS_VERSION:
         raise NnError(f"unsupported weight version {version}")
+    fingerprint = cfg.fingerprint()
     digest = bytes(take(16, "fingerprint"))
     expect = hashlib.blake2b(fingerprint.encode(), digest_size=16).digest()
     if digest != expect:
         raise NnError("weight checkpoint fingerprint does not match model config")
+    layout = cfg.layout()
     (count,) = struct.unpack("<I", take(4, "tensor count"))
-    names: list[str] = []
+    if count != len(layout):
+        raise NnError(f"weight checkpoint has {count} tensors, the model {len(layout)}")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
+    for want in layout:
         (nlen,) = struct.unpack("<H", take(2, "name length"))
         name = bytes(take(nlen, "name")).decode()
         (rank,) = struct.unpack("<B", take(1, "rank"))
         shape = struct.unpack(f"<{rank}Q", take(8 * rank, "shape"))
-        size = int(np.prod(shape)) if rank else 1
-        raw = take(4 * size, f"tensor {name}")
-        arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-        names.append(name)
-        tensors[name] = arr
-    return ModelWeights(fingerprint=fingerprint, names=names, tensors=tensors)
+        if (name, shape) != want:
+            raise NnError(
+                f"weight checkpoint tensor {name[:64]!r} {shape[:8]} is not the model's {want}"
+            )
+        raw = take(4 * int(np.prod(shape)), f"tensor {name}")
+        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    return ModelWeights(fingerprint=fingerprint, names=list(tensors), tensors=tensors)
 
 
 def save_weights(w: ModelWeights, path) -> None:
@@ -554,4 +569,4 @@ def save_weights(w: ModelWeights, path) -> None:
 
 def load_weights(path, cfg: ModelConfig) -> ModelWeights:
     with open(path, "rb") as f:
-        return weights_from_bytes(f.read(), cfg.fingerprint())
+        return weights_from_bytes(f.read(), cfg)

@@ -49,7 +49,7 @@ class SimAborted(RuntimeError):
 
 
 class KvStore:
-    """Flag store: ready/<i>, agg, stop, plus informational keys. The in-process
+    """Boolean flag store: ``ready/<i>``, ``agg`` and ``stop``. The in-process
     endpoints share one; over TCP the server and each trainer hold their own,
     and the server pushes the flags it sets to the trainers' copies."""
 

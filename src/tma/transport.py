@@ -3,18 +3,26 @@
 Two interchangeable implementations of the same endpoint API: in-process
 channels (works under both the thread and sim runtimes; weights travel as
 value copies) and length-prefixed TCP framing for multi-process runs.
+Either way a trainer's round report is one message, ``send_weights(round,
+weights, steps, loss)``, which the server reads back as the tuple
+``recv_weights(i) -> (round, weights, steps, loss)``.
 
 Wire frame: {frame_len u32, msg_type u8, round u32, trainer u16, payload},
 little-endian; frame_len counts everything after itself. Three frame types:
-KV_SET (``key \x00 tagged value``) both ways, WEIGHTS from a trainer and
-GLOBAL_WEIGHTS from the server. A trainer sends its own keys (``ready/<i>``,
-``steps/<i>``, ``loss/<i>``), and the server hangs up on a trainer that
-sets any other key; the server pushes the flags it sets (``agg``,
-``stop``) to every connected trainer. Each side reads flags from its own
-KvStore, never over the wire. One socket and one reader per connection keep
-order, so a trainer applies ``agg=False`` before the GLOBAL_WEIGHTS frame
-sent after it; when the server's stream ends, the trainer's ``stop`` reads
-True. A peer that sends an undecodable frame is hung up on.
+- KV_SET, both ways: ``key \x00 flag``, the flag one byte, 0 or 1. A
+  trainer sets one key, its own ``ready/<i>``, once; the server hangs up on
+  a trainer that sets any other. The server pushes the flags it sets
+  (``agg``, ``stop``) to every connected trainer.
+- WEIGHTS, from a trainer: ``steps i64, loss f64`` (the report), then the
+  weight checkpoint bytes of ``nn.weights_to_bytes``.
+- GLOBAL_WEIGHTS, from the server: the checkpoint bytes alone.
+
+Each side reads flags from its own KvStore, never over the wire. One socket
+and one reader per connection keep order, so a trainer applies
+``agg=False`` before the GLOBAL_WEIGHTS frame sent after it; when the
+server's stream ends, the trainer's ``stop`` reads True. A peer that sends
+an undecodable frame, or weights whose tensors are not the model's, is hung
+up on.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import socket
 import struct
 import threading
 
-from .nn import ModelWeights, weights_from_bytes, weights_to_bytes
+from .nn import ModelConfig, ModelWeights, weights_from_bytes, weights_to_bytes
 from .runtime import ChannelClosed, KvStore, ThreadChannel
 
 MSG_WEIGHTS = 2
@@ -31,6 +39,7 @@ MSG_GLOBAL_WEIGHTS = 3
 MSG_KV_SET = 6
 
 _HEADER = struct.Struct("<IBIH")  # frame_len, msg_type, round, trainer
+_REPORT = struct.Struct("<qd")  # a WEIGHTS payload starts with the trainer's steps, loss
 # largest frame_len a reader accepts, so a peer cannot make it buffer up to 4 GiB
 MAX_FRAME_LEN = 64 << 20
 
@@ -44,7 +53,8 @@ class TransportError(RuntimeError):
 
 
 class InProcTransports:
-    """Channel-backed endpoints sharing one KvStore; weights are copied on send."""
+    """The in-process hub and its server endpoint: one KvStore shared with the
+    trainers, and a channel each way per trainer; weights are copied on send."""
 
     def __init__(self, runtime, trainer_ids):
         self.kv = KvStore()
@@ -52,32 +62,23 @@ class InProcTransports:
         self._to_server = {i: runtime.channel() for i in self.trainer_ids}
         self._to_trainer = {i: runtime.channel() for i in self.trainer_ids}
 
-    def server_endpoint(self) -> "InProcServerEndpoint":
-        return InProcServerEndpoint(self)
-
     def trainer_endpoint(self, trainer_id: int) -> "InProcTrainerEndpoint":
         return InProcTrainerEndpoint(self, trainer_id)
 
-
-class InProcServerEndpoint:
-    def __init__(self, hub: InProcTransports):
-        self._hub = hub
-        self.trainer_ids = hub.trainer_ids
-
     def kv_get(self, key, default=None):
-        return self._hub.kv.get(key, default)
+        return self.kv.get(key, default)
 
     def kv_set(self, key, value):
-        self._hub.kv.set(key, value)
+        self.kv.set(key, value)
 
     def recv_weights(self, trainer_id: int, timeout=None):
-        return self._hub._to_server[trainer_id].get(timeout)
+        return self._to_server[trainer_id].get(timeout)
 
     def send_global(self, trainer_id: int, round_t: int, weights: ModelWeights):
-        self._hub._to_trainer[trainer_id].put((round_t, weights.copy()))
+        self._to_trainer[trainer_id].put((round_t, weights.copy()))
 
     def close(self):
-        for ch in self._hub._to_trainer.values():
+        for ch in self._to_trainer.values():
             ch.close()
 
 
@@ -92,8 +93,8 @@ class InProcTrainerEndpoint:
     def kv_set(self, key, value):
         self._hub.kv.set(key, value)
 
-    def send_weights(self, round_t: int, weights: ModelWeights):
-        self._hub._to_server[self.trainer_id].put((round_t, weights.copy()))
+    def send_weights(self, round_t: int, weights: ModelWeights, steps: int, loss: float):
+        self._hub._to_server[self.trainer_id].put((round_t, weights.copy(), steps, loss))
 
     def recv_global(self, timeout=None):
         return self._hub._to_trainer[self.trainer_id].get(timeout)
@@ -107,35 +108,16 @@ class InProcTrainerEndpoint:
 
 
 def _encode_kv(key: str, value) -> bytes:
-    if value is None:
-        tagged = b"N"
-    elif isinstance(value, bool):
-        tagged = b"\x01" if value else b"\x00"
-    elif isinstance(value, int):
-        tagged = b"I" + struct.pack("<q", value)
-    elif isinstance(value, float):
-        tagged = b"F" + struct.pack("<d", value)
-    else:
-        raise TransportError(f"unsupported kv value type {type(value).__name__}")
-    return key.encode() + b"\x00" + tagged
+    if not isinstance(value, bool):
+        raise TransportError(f"flag {key!r} must be a bool, not {type(value).__name__}")
+    return key.encode() + (b"\x00\x01" if value else b"\x00\x00")
 
 
-_KV_CONSTANTS = {b"N": None, b"\x01": True, b"\x00": False}
-_KV_NUMBERS = {b"I": struct.Struct("<q"), b"F": struct.Struct("<d")}
-
-
-def _decode_kv_value(data: bytes):
-    tag, body = data[:1], data[1:]
-    if tag in _KV_CONSTANTS and not body:
-        return _KV_CONSTANTS[tag]
-    if tag in _KV_NUMBERS and len(body) == _KV_NUMBERS[tag].size:
-        return _KV_NUMBERS[tag].unpack(body)[0]
-    raise TransportError(f"bad kv value {data[:16]!r}")
-
-
-def _decode_kv(payload: bytes):
+def _decode_kv(payload: bytes) -> tuple[str, bool]:
     key, _, value = payload.partition(b"\x00")
-    return key.decode(), _decode_kv_value(value)  # UnicodeDecodeError is a ValueError
+    if value not in (b"\x00", b"\x01"):
+        raise TransportError(f"bad kv value {value[:16]!r}")
+    return key.decode(), value == b"\x01"  # UnicodeDecodeError is a ValueError
 
 
 # ends a reader loop: EOF, a dead socket, or an undecodable frame (NnError is a ValueError)
@@ -180,10 +162,10 @@ class TcpCoordinator:
     """Server side of the TCP transport: listener, per-connection readers, kv.
     A connection's first frame claims its trainer id; kv_set pushes to all."""
 
-    def __init__(self, trainer_ids, fingerprint: str, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, trainer_ids, model: ModelConfig, host: str = "127.0.0.1", port: int = 0):
         self.kv = KvStore()
         self.trainer_ids = sorted(trainer_ids)
-        self._fingerprint = fingerprint
+        self._model = model
         self._inbox = {i: ThreadChannel() for i in self.trainer_ids}
         self._conns: dict[int, tuple[socket.socket, threading.Lock]] = {}
         self._listener = socket.create_server((host, port))
@@ -209,17 +191,19 @@ class TcpCoordinator:
                     if trainer not in self._inbox or self._conns.setdefault(trainer, entry) is not entry:
                         raise TransportError(f"trainer id {trainer} is unknown or taken")
                     trainer_id = trainer
-                    own_keys = {f"ready/{trainer}", f"steps/{trainer}", f"loss/{trainer}"}
                 elif trainer != trainer_id:
                     raise TransportError(f"frame for trainer {trainer} on trainer {trainer_id}'s connection")
                 if msg_type == MSG_KV_SET:
                     key, value = _decode_kv(payload)
-                    if key not in own_keys:
+                    if key != f"ready/{trainer_id}":
                         raise TransportError(f"trainer {trainer_id} may not set {key[:64]!r}")
                     self.kv.set(key, value)
                 elif msg_type == MSG_WEIGHTS:
-                    weights = weights_from_bytes(payload, self._fingerprint)
-                    self._inbox[trainer_id].put((round_t, weights))
+                    if len(payload) < _REPORT.size:
+                        raise TransportError(f"weights frame of {len(payload)} bytes has no report")
+                    steps, loss = _REPORT.unpack_from(payload)
+                    weights = weights_from_bytes(payload[_REPORT.size :], self._model)
+                    self._inbox[trainer_id].put((round_t, weights, steps, loss))
                 else:
                     raise TransportError(f"unexpected frame type {msg_type} from trainer")
         except _STREAM_ENDS:
@@ -244,8 +228,8 @@ class TcpCoordinator:
         return self.kv.get(key, default)
 
     def kv_set(self, key, value):
-        self.kv.set(key, value)
         payload = _encode_kv(key, value)
+        self.kv.set(key, value)
         for trainer_id in list(self._conns):
             self._send(trainer_id, MSG_KV_SET, 0, payload)
 
@@ -265,14 +249,14 @@ class TcpTrainerEndpoint:
     """Trainer side: one socket, and a reader thread that applies pushed flags
     to a local KvStore and queues global weights."""
 
-    def __init__(self, address, trainer_id: int, fingerprint: str, connect_timeout=10.0):
+    def __init__(self, address, trainer_id: int, model: ModelConfig, connect_timeout=10.0):
         self.trainer_id = trainer_id
-        self._fingerprint = fingerprint
+        self._model = model
         self.kv = KvStore()
         self._sock = socket.create_connection(address, timeout=connect_timeout)
         self._sock.settimeout(None)
-        # a weights frame follows small KV_SET frames; with Nagle on, it would
-        # wait for their ACK, which the peer may delay by up to 40 ms
+        # with Nagle on, a frame's last partial segment can wait for the ACK
+        # of data sent before it, which the peer may delay by up to 40 ms
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
         self._global_q = ThreadChannel()
@@ -285,7 +269,7 @@ class TcpTrainerEndpoint:
                 if msg_type == MSG_KV_SET:
                     self.kv.set(*_decode_kv(payload))
                 elif msg_type == MSG_GLOBAL_WEIGHTS:
-                    self._global_q.put((round_t, weights_from_bytes(payload, self._fingerprint)))
+                    self._global_q.put((round_t, weights_from_bytes(payload, self._model)))
                 else:
                     raise TransportError(f"unexpected frame type {msg_type} from server")
         except _STREAM_ENDS:
@@ -308,8 +292,8 @@ class TcpTrainerEndpoint:
     def kv_set(self, key, value):
         self._send(MSG_KV_SET, 0, _encode_kv(key, value))
 
-    def send_weights(self, round_t: int, weights: ModelWeights):
-        self._send(MSG_WEIGHTS, round_t, weights_to_bytes(weights))
+    def send_weights(self, round_t: int, weights: ModelWeights, steps: int, loss: float):
+        self._send(MSG_WEIGHTS, round_t, _REPORT.pack(steps, loss) + weights_to_bytes(weights))
 
     def recv_global(self, timeout=None):
         return self._global_q.get(timeout)

@@ -193,6 +193,27 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert "\n" not in err
 
+    @pytest.mark.parametrize("edit", ["missing-tensor", "reshaped-tensor"])
+    def test_checkpoint_with_wrong_tensors_single_line(self, tmp_path, small_cfg, capsys, edit):
+        prefix = str(tmp_path / "data")
+        assert run_cli(["generate", "--config", str(small_cfg), "--out", prefix]) == 0
+        assert run_cli(["split", "--config", str(small_cfg), "--graph", prefix + ".graph",
+                        "--out", prefix]) == 0
+        dim = fileio.load_features(prefix + ".feat").shape[1]
+        w = init_weights(build_model_config(ExperimentConfig.from_sources(small_cfg, {}), dim))
+        if edit == "missing-tensor":
+            w.names.remove("enc0.ln.gain")
+        else:
+            w.tensors["enc0.ln.gain"] = w.tensors["enc0.ln.gain"].reshape(2, -1)
+        save_weights(w, tmp_path / "bad.tmaw")  # right fingerprint, wrong tensors
+        rc = run_cli(["eval", "--config", str(small_cfg), "--weights", str(tmp_path / "bad.tmaw"),
+                      "--graph", prefix + ".train.graph", "--features", prefix + ".feat",
+                      "--splits", prefix + ".splits"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: weight checkpoint")
+        assert "\n" not in err
+
     def test_config_violations_single_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("trainers = 0\nhomophily = 5\n")

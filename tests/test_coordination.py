@@ -12,14 +12,14 @@ from tma.coordination import (
     RunConfig,
     TrainerLog,
     TrainerSpec,
-    inject_failure,
     run_evaluator,
     run_server,
     run_trainer,
     run_training,
 )
+from tma.evaluate import evaluate
 from tma.graph import build_splits, generate_synthetic
-from tma.nn import ModelConfig, init_weights
+from tma.nn import ModelConfig, ModelWeights, init_weights, weights_to_bytes
 from tma.partition import induce_subgraphs, partition_random_node
 from tma.runtime import (
     ChannelClosed,
@@ -35,6 +35,7 @@ from tma.transport import (
     MAX_FRAME_LEN,
     MSG_KV_SET,
     MSG_WEIGHTS,
+    InProcTransports,
     TcpCoordinator,
     TcpTrainerEndpoint,
     TransportError,
@@ -326,7 +327,40 @@ class TestTmaProtocol:
         assert len(res.trainer_logs[1].send_rounds) == res.rounds
 
 
+def run_on_hub(cfg, registered, specs, train, x, splits):
+    """``run_server`` under the sim on an in-process hub registered for the
+    ids ``registered``, with only ``specs``' trainers started; the actors are
+    wired and spawned as ``run_training`` does it."""
+    rt = SimRuntime()
+    hub = InProcTransports(rt, registered)
+    jobs, results = rt.channel(), rt.channel()
+    box = {}
+
+    def server():
+        try:
+            box["result"] = run_server(cfg, hub, init_weights(cfg.model), rt.clock, jobs, results)
+        finally:
+            jobs.close()
+            hub.close()
+
+    def eval_fn(weights, split, round_t):
+        return evaluate(weights, cfg.model, train, x, splits, split, round_t).mrr
+
+    rt.spawn("server", server)
+    for spec in specs:
+        endpoint = hub.trainer_endpoint(spec.trainer_id)
+        log = TrainerLog(trainer_id=spec.trainer_id)
+        rt.spawn(f"trainer-{spec.trainer_id}", run_trainer, spec, cfg, endpoint, rt.clock, log)
+    rt.spawn("evaluator", run_evaluator, jobs, results, eval_fn)
+    rt.run_all()
+    return box["result"]
+
+
 class TestFailureInjection:
+    """A failed trainer is one that never starts. The server waits
+    ``readiness_timeout`` for a registered trainer that never sets ``ready``,
+    then runs the rounds with the others."""
+
     def test_no_failures_identical_to_plain_run(self):
         train, x, y, splits = make_dataset(seed=8)
         specs = make_specs(train, x, 2, step_time=0.05)
@@ -335,7 +369,7 @@ class TestFailureInjection:
             batch_size=16, fanouts=(3, 3),
         )
         a = run_training(cfg, specs, train, x, splits)
-        b = run_training(inject_failure(cfg, []), specs, train, x, splits)
+        b = run_on_hub(cfg, [0, 1], specs, train, x, splits)
         assert a.best_val_mrr == b.best_val_mrr
         assert a.test_mrr == b.test_mrr
         for t in a.weights_by_round:
@@ -348,11 +382,14 @@ class TestFailureInjection:
             model=small_model(x), train_budget=3.0, agg_interval=1.0,
             batch_size=16, fanouts=(3, 3), readiness_timeout=0.5,
         )
-        res = run_training(inject_failure(cfg, [1]), specs, train, x, splits)
+        survivors = [s for s in specs if s.trainer_id != 1]
+        res = run_on_hub(cfg, [0, 1, 2], survivors, train, x, splits)
         assert res.live_ids == [0, 2]
         assert res.rounds >= 2
         for row in res.metrics:
             assert set(row.steps) == {0, 2}
+        unregistered = run_on_hub(cfg, [0, 2], survivors, train, x, splits)
+        assert res.round_times == unregistered.round_times
 
     def test_failure_subset_bitwise_equivalence(self):
         train, x, y, splits = make_dataset(seed=10)
@@ -361,8 +398,8 @@ class TestFailureInjection:
             model=small_model(x), train_budget=3.0, agg_interval=1.0,
             batch_size=16, fanouts=(3, 3), readiness_timeout=0.5,
         )
-        failed = run_training(inject_failure(cfg, [1]), specs, train, x, splits)
         survivors = [s for s in specs if s.trainer_id != 1]
+        failed = run_on_hub(cfg, [0, 1, 2], survivors, train, x, splits)
         direct = run_training(cfg, survivors, train, x, splits)
         assert failed.rounds == direct.rounds
         for t in failed.weights_by_round:
@@ -375,13 +412,14 @@ class TestFailureInjection:
 
     def test_all_failed_rejected(self):
         train, x, y, splits = make_dataset(seed=11)
-        specs = make_specs(train, x, 2)
         cfg = RunConfig(
             model=small_model(x), train_budget=2.0, agg_interval=1.0,
-            batch_size=16, fanouts=(3, 3),
+            batch_size=16, fanouts=(3, 3), readiness_timeout=0.5,
         )
-        with pytest.raises(ProtocolError):
-            run_training(inject_failure(cfg, [0, 1]), specs, train, x, splits)
+        with pytest.raises(ProtocolError, match="at least one trainer"):
+            run_training(cfg, [], train, x, splits)
+        with pytest.raises(ProtocolError, match="no trainer became ready"):
+            run_on_hub(cfg, [0, 1], [], train, x, splits)
 
 
 class TestGgs:
@@ -444,6 +482,17 @@ def _frame(msg_type, trainer, payload=b""):
     return struct.pack("<IBIH", len(payload) + 7, msg_type, 0, trainer) + payload
 
 
+TINY = ModelConfig(in_dim=2, hidden_dim=4, layers=1, decoder_layers=1)
+_TINY_W = init_weights(TINY)
+
+
+def _report_frame(names, tensors):
+    """A WEIGHTS frame from trainer 0 whose checkpoint has TINY's fingerprint
+    but these tensors."""
+    report = struct.pack("<qd", 1, 0.5)
+    return _frame(MSG_WEIGHTS, 0, report + weights_to_bytes(ModelWeights(TINY.fingerprint(), names, tensors)))
+
+
 def _wait_for(condition, timeout=2.0):
     deadline = time.monotonic() + timeout
     while not condition():
@@ -467,9 +516,9 @@ class TestThreadRuntimeAndTcp:
         frames = []
         real_send_frame = transport.send_frame
 
-        def counting_send_frame(sock, msg_type, *rest):
-            frames.append(msg_type)
-            real_send_frame(sock, msg_type, *rest)
+        def counting_send_frame(sock, msg_type, round_t, trainer, payload=b""):
+            frames.append((msg_type, payload))
+            real_send_frame(sock, msg_type, round_t, trainer, payload)
 
         monkeypatch.setattr(transport, "send_frame", counting_send_frame)
         train, x, y, splits = make_dataset(seed=16, n=120)
@@ -485,9 +534,18 @@ class TestThreadRuntimeAndTcp:
         assert 0 < res.test_mrr <= 1
         for log in res.trainer_logs.values():
             assert log.steps > 0
+        for row in res.metrics:
+            assert set(row.steps) == {0, 1}
+            assert all(n > 0 for n in row.steps.values())
+            assert all(math.isfinite(v) for v in row.loss.values())
         # flags are pushed per round, not polled per step
         assert len(frames) <= 8 * len(specs) * (res.rounds + 2)
         assert len(frames) < sum(log.steps for log in res.trainer_logs.values())
+        # a trainer sets one key, once, and sends one frame per round
+        keys = [payload.partition(b"\x00")[0] for t, payload in frames if t == MSG_KV_SET]
+        assert sorted(k for k in keys if k not in (b"agg", b"stop")) == [b"ready/0", b"ready/1"]
+        sends = sum(len(log.send_rounds) for log in res.trainer_logs.values())
+        assert [t for t, _ in frames].count(MSG_WEIGHTS) == sends
 
     def test_thread_channel_get_times_out(self):
         ch = ThreadChannel()
@@ -521,13 +579,22 @@ class TestThreadRuntimeAndTcp:
             ),
             pytest.param([_frame(MSG_KV_SET, 0, b"stop\x00\x01")], id="sets-server-stop"),
             pytest.param([_frame(MSG_KV_SET, 0, b"ready/1\x00\x01")], id="sets-another-trainers-key"),
+            pytest.param([_frame(MSG_KV_SET, 0, b"steps/0\x00\x01")], id="sets-its-own-steps-key"),
+            pytest.param(
+                [_report_frame([n for n in _TINY_W.names if n != "enc0.ln.gain"], _TINY_W.tensors)],
+                id="wrong-tensors",
+            ),
+            pytest.param(
+                [_report_frame(_TINY_W.names, {**_TINY_W.tensors, "enc0.ln.gain": np.ones((2, 2))})],
+                id="reshaped-tensor",
+            ),
         ],
     )
     def test_bad_trainer_peer_is_hung_up_on(self, monkeypatch, frames):
         errors = []
         monkeypatch.setattr(threading, "excepthook", errors.append)
         before = set(threading.enumerate())
-        coord = TcpCoordinator([0, 1], "fp")
+        coord = TcpCoordinator([0, 1], TINY)
         try:
             with socket.create_connection(coord.address, timeout=1.0) as peer:
                 peer.sendall(b"".join(frames))
@@ -545,8 +612,8 @@ class TestThreadRuntimeAndTcp:
         assert errors == []
 
     def test_second_claim_of_a_trainer_id_is_refused(self):
-        coord = TcpCoordinator([0], "fp")
-        first = TcpTrainerEndpoint(coord.address, 0, "fp")
+        coord = TcpCoordinator([0], TINY)
+        first = TcpTrainerEndpoint(coord.address, 0, TINY)
         try:
             first.kv_set("ready/0", False)
             _wait_for(lambda: coord.kv_get("ready/0") is False)
@@ -563,8 +630,8 @@ class TestThreadRuntimeAndTcp:
             coord.close()
 
     def test_kv_set_skips_a_closed_trainer(self):
-        coord = TcpCoordinator([0, 1], "fp")
-        eps = [TcpTrainerEndpoint(coord.address, i, "fp") for i in (0, 1)]
+        coord = TcpCoordinator([0, 1], TINY)
+        eps = [TcpTrainerEndpoint(coord.address, i, TINY) for i in (0, 1)]
         try:
             for ep in eps:
                 ep.kv_set(f"ready/{ep.trainer_id}", True)
@@ -587,9 +654,8 @@ class TestThreadRuntimeAndTcp:
             model=small_model(x), train_budget=1.0, agg_interval=0.2,
             batch_size=8, fanouts=(2, 2),
         )
-        fp = cfg.model.fingerprint()
         w = init_weights(cfg.model)
-        coord = TcpCoordinator([0, 1], fp)
+        coord = TcpCoordinator([0, 1], cfg.model)
         jobs, results = ThreadChannel(), ThreadChannel()
         box = {}
         server = threading.Thread(
@@ -600,19 +666,19 @@ class TestThreadRuntimeAndTcp:
             threading.Thread(target=run_evaluator, args=(jobs, results, lambda *_: 0.5), daemon=True),
             threading.Thread(
                 target=run_trainer,
-                args=(specs[1], cfg, TcpTrainerEndpoint(coord.address, 1, fp), RealClock(),
+                args=(specs[1], cfg, TcpTrainerEndpoint(coord.address, 1, cfg.model), RealClock(),
                       TrainerLog(trainer_id=1)),
                 daemon=True,
             ),
         ]
-        dying = TcpTrainerEndpoint(coord.address, 0, fp)
+        dying = TcpTrainerEndpoint(coord.address, 0, cfg.model)
         try:
             for thread in [server, *others]:
                 thread.start()
             dying.kv_set("ready/0", True)
             assert dying.recv_global(timeout=2.0)[0] == 0
             _wait_for(lambda: dying.kv_get("agg") is True)
-            dying.send_weights(0, w)
+            dying.send_weights(0, w, 0, math.nan)
             dying.close()  # gone before this round's global weights reach it
             server.join(5.0)
             assert not server.is_alive()
@@ -622,9 +688,28 @@ class TestThreadRuntimeAndTcp:
         assert box["result"].live_ids == [1]
         assert box["result"].rounds >= 2
 
+    def test_weights_frame_carries_the_report(self):
+        coord = TcpCoordinator([0], TINY)
+        ep = TcpTrainerEndpoint(coord.address, 0, TINY)
+        try:
+            ep.send_weights(3, _TINY_W, 7, 0.25)
+            tag, got, steps, loss = coord.recv_weights(0, timeout=2.0)
+            assert (tag, steps, loss) == (3, 7, 0.25)
+            assert got.names == _TINY_W.names
+            for name, tensor in _TINY_W.items():
+                assert np.array_equal(got[name], tensor.astype(np.float32))
+            # flags are booleans; anything else is refused before it is sent
+            with pytest.raises(TransportError, match="bool"):
+                ep.kv_set("ready/0", 1)
+            with pytest.raises(TransportError, match="bool"):
+                coord.kv_set("agg", None)
+        finally:
+            ep.close()
+            coord.close()
+
     def test_trainer_stops_when_the_server_goes(self):
-        coord = TcpCoordinator([0], "fp")
-        ep = TcpTrainerEndpoint(coord.address, 0, "fp")
+        coord = TcpCoordinator([0], TINY)
+        ep = TcpTrainerEndpoint(coord.address, 0, TINY)
         try:
             ep.kv_set("ready/0", True)
             _wait_for(lambda: coord.kv_get("ready/0"))
@@ -650,7 +735,7 @@ class TestThreadRuntimeAndTcp:
         errors = []
         monkeypatch.setattr(threading, "excepthook", errors.append)
         with socket.create_server(("127.0.0.1", 0)) as listener:
-            ep = TcpTrainerEndpoint(listener.getsockname(), 0, "fp")
+            ep = TcpTrainerEndpoint(listener.getsockname(), 0, TINY)
             server, _ = listener.accept()
             with server:
                 server.settimeout(1.0)

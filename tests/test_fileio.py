@@ -4,7 +4,6 @@ import pytest
 from tma import fileio
 from tma.fileio import (
     ParseError,
-    load_edgelist_text,
     load_features,
     load_graph,
     load_labels,
@@ -166,24 +165,3 @@ class TestPartitionRoundtrip:
         with pytest.raises(ParseError, match="trailing"):
             load_partition(bad)
 
-
-class TestEdgelistText:
-    def test_import(self, tmp_path):
-        path = tmp_path / "edges.txt"
-        path.write_text("# comment\n0 1\n1 2\n\n2 3\n")
-        g = load_edgelist_text(path)
-        assert g.num_nodes == 4
-        assert g.num_edges == 3
-        assert g.has_edge(1, 2)
-
-    def test_bad_line(self, tmp_path):
-        path = tmp_path / "edges.txt"
-        path.write_text("0 1\n1 two\n")
-        with pytest.raises(ParseError, match=":2"):
-            load_edgelist_text(path)
-
-    def test_explicit_node_count(self, tmp_path):
-        path = tmp_path / "edges.txt"
-        path.write_text("0 1\n")
-        g = load_edgelist_text(path, num_nodes=10)
-        assert g.num_nodes == 10

@@ -58,13 +58,6 @@ class TestGraph:
         with pytest.raises(GraphError):
             broken.validate()
 
-    def test_remove_edges(self):
-        g = triangle()
-        g2 = g.remove_edges(np.array([[0, 2]]))
-        assert g2.num_edges == 2
-        assert not g2.has_edge(0, 2)
-        assert g2.has_edge(0, 1)
-
     def test_edge_array_sorted_unique(self):
         g, _, _ = generate_synthetic(200, 6.0, 0.7, seed=3)
         e = g.edge_array()

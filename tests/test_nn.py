@@ -326,7 +326,7 @@ class TestCheckpoint:
     def test_roundtrip_to_f32(self):
         cfg = ModelConfig(in_dim=3, encoder="gcn", layers=2, hidden_dim=4, seed=1)
         w = init_weights(cfg)
-        out = weights_from_bytes(weights_to_bytes(w), cfg.fingerprint())
+        out = weights_from_bytes(weights_to_bytes(w), cfg)
         assert out.names == w.names
         for n, t in w.items():
             assert np.array_equal(out[n], t.astype(np.float32).astype(np.float64))
@@ -335,13 +335,14 @@ class TestCheckpoint:
         cfg = ModelConfig(in_dim=3, encoder="gcn", layers=1, hidden_dim=4, seed=1)
         data = weights_to_bytes(init_weights(cfg))
         with pytest.raises(nn.NnError, match="byte"):
-            weights_from_bytes(data[: len(data) - 5], cfg.fingerprint())
+            weights_from_bytes(data[: len(data) - 5], cfg)
 
     def test_fingerprint_mismatch_rejected(self):
         cfg = ModelConfig(in_dim=3, encoder="gcn", layers=1, hidden_dim=4, seed=1)
         data = weights_to_bytes(init_weights(cfg))
+        other = ModelConfig(in_dim=3, encoder="sage", layers=1, hidden_dim=4, seed=1)
         with pytest.raises(nn.NnError, match="fingerprint"):
-            weights_from_bytes(data, "some-other-architecture")
+            weights_from_bytes(data, other)
 
 
 def test_nan_input_raises_with_layer_context():
