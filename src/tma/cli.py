@@ -24,8 +24,8 @@ from . import fileio, theory
 from .config import ConfigError, ExperimentConfig
 from .coordination import RunConfig, TrainerSpec, run_training
 from .evaluate import evaluate
-from .graph import GraphError, NodeLabels, build_splits, generate_synthetic
-from .nn import ModelConfig, NnError, init_weights, load_weights, save_weights
+from .graph import GraphError, build_splits, generate_synthetic
+from .nn import ModelConfig, NnError, load_weights, save_weights
 from .partition import (
     PartitionError,
     induce_subgraphs,
@@ -33,8 +33,6 @@ from .partition import (
     partition_random_node,
     partition_super_node,
 )
-
-log = logging.getLogger("tma")
 
 
 def _setup_logging():

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# shuffled sweeps build_splits makes over the edges before it gives up
+SPLIT_PASSES = 5
+
 
 class GraphError(ValueError):
     """Structural violation in a graph or derived artifact."""
@@ -328,7 +331,6 @@ def build_splits(
     test_frac: float,
     k_negatives: int,
     seed: int = 0,
-    max_passes: int = 5,
 ) -> tuple[Graph, EdgeSplits]:
     """Carve val/test positives out of g and freeze negative candidate sets.
 
@@ -351,7 +353,7 @@ def build_splits(
     deg = g.degrees().copy()
     chosen: list[int] = []
     taken = np.zeros(m, dtype=bool)
-    for _ in range(max_passes):
+    for _ in range(SPLIT_PASSES):
         if len(chosen) >= want:
             break
         order = rng.permutation(m)

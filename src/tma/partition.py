@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import Graph, NodeLabels
 
-DEFAULT_BALANCE_SLACK = 0.05
+BALANCE_SLACK = 0.05
 
 
 class PartitionError(ValueError):
@@ -238,20 +238,14 @@ def _best_move_candidate(g: Graph, labels: np.ndarray, src: int, dst: int) -> in
     return best_node
 
 
-def partition_min_cut(
-    g: Graph, num_trainers: int, seed: int = 0, slack: float = DEFAULT_BALANCE_SLACK
-) -> Partition:
+def partition_min_cut(g: Graph, num_trainers: int, seed: int = 0) -> Partition:
     """Low-cut balanced partition: one cluster per trainer, identity mapping."""
-    labels = cluster(g, num_trainers, seed=seed, slack=slack)
+    labels = cluster(g, num_trainers, seed=seed, slack=BALANCE_SLACK)
     return Partition(assignment=labels, num_trainers=num_trainers)
 
 
 def partition_super_node(
-    g: Graph,
-    num_trainers: int,
-    num_clusters: int,
-    seed: int = 0,
-    slack: float = DEFAULT_BALANCE_SLACK,
+    g: Graph, num_trainers: int, num_clusters: int, seed: int = 0
 ) -> Partition:
     """Cluster first, then deal the clusters to trainers at random.
 
@@ -265,7 +259,7 @@ def partition_super_node(
         raise PartitionError("need at least as many clusters as trainers")
     if num_clusters > g.num_nodes:
         raise PartitionError("more clusters than nodes")
-    cluster_slack = slack if num_clusters == num_trainers else None
+    cluster_slack = BALANCE_SLACK if num_clusters == num_trainers else None
     labels = cluster(g, num_clusters, seed=seed, slack=cluster_slack)
     rng = np.random.default_rng(seed)
     order = rng.permutation(num_clusters)

@@ -9,10 +9,14 @@ duplex channel, and a key-value store. Two runtimes provide them:
   BLAS thread per core and oversubscribe the cores; the old count is put
   back when ``run_all`` returns.
 * ``SimRuntime`` - the same actor code driven by a deterministic
-  cooperative scheduler over a virtual clock. Exactly one actor runs at a
-  time; actors hand off only inside runtime primitives (sleep, blocking
-  receive), so a whole multi-worker run is a pure function of its seeds
-  and virtual durations. Acceptance and stress tests run here.
+  cooperative scheduler over a virtual clock; the runtime is the scheduler.
+  Exactly one actor runs at a time; actors hand off only inside runtime
+  primitives (sleep, blocking receive), so a whole multi-worker run is a
+  pure function of its seeds and virtual durations. A handed-off actor has
+  one waiting state: a sleep waits for an absolute virtual deadline, a
+  receive for a put or close on its channel and, given a timeout, also for
+  the deadline fixed when the receive began. Acceptance and stress tests
+  run here.
 """
 
 from __future__ import annotations
@@ -57,9 +61,9 @@ class KvStore:
         self._data: dict[str, object] = {}
         self._lock = threading.Lock()
 
-    def get(self, key: str, default=None):
+    def get(self, key: str):
         with self._lock:
-            return self._data.get(key, default)
+            return self._data.get(key)
 
     def set(self, key: str, value) -> None:
         with self._lock:
@@ -186,8 +190,7 @@ class ThreadRuntime:
 # deterministic simulation runtime
 
 _READY = "ready"
-_SLEEPING = "sleeping"
-_BLOCKED = "blocked"
+_WAITING = "waiting"
 _RUNNING = "running"
 _DONE = "done"
 
@@ -198,23 +201,57 @@ class _Actor:
     fn: object
     args: tuple
     state: str = _READY
-    wake_at_us: int = 0
+    wake_at_us: int | None = None  # a waiting actor's deadline; None waits for a channel
     seq: int = 0
     event: threading.Event = field(default_factory=threading.Event)
-    channel: "SimChannel | None" = None
-    timed_out: bool = False
     thread: threading.Thread | None = None
 
 
-class SimKernel:
+class SimChannel:
+    def __init__(self, runtime: "SimRuntime"):
+        self._runtime = runtime
+        self._items: list = []
+        self._waiters: list[_Actor] = []
+        self._closed = False
+
+    def put(self, item) -> None:
+        if self._closed:
+            raise ChannelClosed
+        self._items.append(item)
+        self._runtime.wake(self, everyone=False)
+
+    def get(self, timeout: float | None = None):
+        return self._runtime.get(self, timeout)
+
+    def close(self) -> None:
+        self._closed = True
+        self._runtime.wake(self, everyone=True)
+
+
+class SimClock:
+    def __init__(self, runtime: "SimRuntime"):
+        self._runtime = runtime
+
+    def now(self) -> float:
+        return self._runtime.now()
+
+    def sleep(self, seconds: float) -> None:
+        self._runtime.sleep(seconds)
+
+
+class SimRuntime:
     """Cooperative scheduler: one virtual-time token shared by all actors.
 
-    Virtual time is integer microseconds internally, so two runs whose
-    events differ only by a constant offset make identical scheduling
-    decisions (float accumulation can never flip a deadline comparison).
+    The token goes to the ready actor with the lowest ``seq``; if none is
+    ready, to the waiting actor with the earliest ``(wake_at_us, seq)``, and
+    the clock jumps to its deadline. Virtual time is integer microseconds,
+    so two runs whose events differ only by a constant offset make identical
+    scheduling decisions (float accumulation can never flip a deadline
+    comparison).
     """
 
     def __init__(self):
+        self.clock = SimClock(self)
         self._now_us = 0
         self._lock = threading.Lock()
         self._actors: list[_Actor] = []
@@ -223,9 +260,8 @@ class SimKernel:
         self._error: BaseException | None = None
         self._started = False
 
-    @property
-    def time(self) -> float:
-        return self._now_us / 1e6
+    def channel(self) -> SimChannel:
+        return SimChannel(self)
 
     @staticmethod
     def _to_us(seconds: float) -> int:
@@ -235,19 +271,17 @@ class SimKernel:
 
     def spawn(self, name: str, fn, *args) -> None:
         if self._started:
-            raise RuntimeError("spawn before run()")
-        actor = _Actor(name=name, fn=fn, args=args, seq=self._next_seq())
-        self._actors.append(actor)
+            raise RuntimeError("spawn before run_all()")
+        self._actors.append(_Actor(name=name, fn=fn, args=args, seq=self._next_seq()))
 
-    def run(self) -> None:
+    def run_all(self) -> None:
         self._started = True
         for actor in self._actors:
-            thread = threading.Thread(
+            actor.thread = threading.Thread(
                 target=self._actor_main, args=(actor,), name=actor.name, daemon=True
             )
-            actor.thread = thread
-            self._by_thread[id(thread)] = actor
-            thread.start()
+            self._by_thread[id(actor.thread)] = actor
+            actor.thread.start()
         with self._lock:
             self._grant_next_locked()
         for actor in self._actors:
@@ -283,35 +317,35 @@ class SimKernel:
             raise RuntimeError("runtime primitive used outside a sim actor") from None
 
     def _grant_next_locked(self) -> None:
-        """Pick the next actor (FIFO among ready, else earliest wake time)."""
-        if self._error is not None:
-            for actor in self._actors:
-                if actor.state not in (_DONE, _RUNNING):
-                    actor.state = _READY
-                    actor.event.set()
-            return
-        ready = [a for a in self._actors if a.state == _READY]
-        if ready:
-            nxt = min(ready, key=lambda a: a.seq)
-        else:
-            waiting = [a for a in self._actors if a.state == _SLEEPING]
-            if not waiting:
-                if any(a.state == _BLOCKED for a in self._actors):
-                    self._error = DeadlockError(
-                        "all live actors blocked on receives with no pending wakeups"
-                    )
-                    self._grant_next_locked()
+        """Hand the token to the next actor; on an error, wake every live actor."""
+        if self._error is None:
+            ready = [a for a in self._actors if a.state == _READY]
+            timed = [a for a in self._actors if a.state == _WAITING and a.wake_at_us is not None]
+            if ready:
+                nxt = min(ready, key=lambda a: a.seq)
+            elif timed:
+                nxt = min(timed, key=lambda a: (a.wake_at_us, a.seq))
+                self._now_us = max(self._now_us, nxt.wake_at_us)
+            elif any(a.state == _WAITING for a in self._actors):
+                self._error = DeadlockError(
+                    "all live actors blocked on receives with no pending wakeups"
+                )
+            else:
                 return
-            nxt = min(waiting, key=lambda a: (a.wake_at_us, a.seq))
-            self._now_us = max(self._now_us, nxt.wake_at_us)
-            if nxt.channel is not None:
-                nxt.timed_out = True
-                nxt.channel = None
-        nxt.state = _RUNNING
-        nxt.event.set()
+            if self._error is None:
+                nxt.state = _RUNNING
+                nxt.event.set()
+                return
+        for actor in self._actors:
+            if actor.state not in (_DONE, _RUNNING):
+                actor.state = _READY
+                actor.event.set()
 
-    def _yield_control(self, actor: _Actor) -> None:
-        """Hand the token to the scheduler and wait to be granted again."""
+    def _wait(self, actor: _Actor, wake_at_us: int | None) -> None:
+        """Give up the token until woken or until the clock reaches ``wake_at_us``."""
+        actor.state = _WAITING
+        actor.wake_at_us = wake_at_us
+        actor.seq = self._next_seq()
         self._grant_next_locked()
         self._lock.release()
         try:
@@ -326,108 +360,32 @@ class SimKernel:
 
     def now(self) -> float:
         with self._lock:
-            return self.time
+            return self._now_us / 1e6
 
     def sleep(self, seconds: float) -> None:
         actor = self._current()
         with self._lock:
-            actor.state = _SLEEPING
-            actor.wake_at_us = self._now_us + self._to_us(seconds)
-            actor.seq = self._next_seq()
-            self._yield_control(actor)
-            actor.state = _RUNNING
+            self._wait(actor, self._now_us + self._to_us(seconds))
 
-    def block_on(self, channel: "SimChannel", timeout: float | None):
-        """Wait until the channel has an item, it closes, or the timeout fires."""
+    def get(self, channel: SimChannel, timeout: float | None):
+        """Wait until the channel has an item, it closes, or the deadline passes."""
         actor = self._current()
         with self._lock:
-            while True:
-                if channel._items:
-                    return channel._items.pop(0)
+            deadline = None if timeout is None else self._now_us + self._to_us(timeout)
+            while not channel._items:
                 if channel._closed:
                     raise ChannelClosed
-                if timeout is None:
-                    actor.state = _BLOCKED
-                else:
-                    actor.state = _SLEEPING
-                    actor.wake_at_us = self._now_us + self._to_us(timeout)
-                actor.channel = channel
-                actor.timed_out = False
-                actor.seq = self._next_seq()
                 channel._waiters.append(actor)
-                self._yield_control(actor)
-                actor.state = _RUNNING
-                if actor in channel._waiters:
+                self._wait(actor, deadline)
+                if actor in channel._waiters:  # neither put nor close woke it
                     channel._waiters.remove(actor)
-                if actor.timed_out:
-                    actor.timed_out = False
-                    if channel._items:
-                        return channel._items.pop(0)
                     raise ChannelTimeout
+            return channel._items.pop(0)
 
-    def notify_waiter(self, channel: "SimChannel") -> None:
-        """Mark the first waiter of the channel runnable (caller holds no lock)."""
+    def wake(self, channel: SimChannel, everyone: bool) -> None:
+        """Make the channel's first waiter, or all of them, ready."""
         with self._lock:
-            self._wake_waiters_locked(channel, only_first=True)
-
-    def wake_all_waiters(self, channel: "SimChannel") -> None:
-        with self._lock:
-            self._wake_waiters_locked(channel, only_first=False)
-
-    def _wake_waiters_locked(self, channel: "SimChannel", only_first: bool) -> None:
-        waiters = list(channel._waiters)
-        for actor in waiters:
-            channel._waiters.remove(actor)
-            actor.channel = None
-            actor.timed_out = False
-            actor.state = _READY
-            actor.seq = self._next_seq()
-            if only_first:
-                break
-
-
-class SimChannel:
-    def __init__(self, kernel: SimKernel):
-        self._kernel = kernel
-        self._items: list = []
-        self._waiters: list[_Actor] = []
-        self._closed = False
-
-    def put(self, item) -> None:
-        if self._closed:
-            raise ChannelClosed
-        self._items.append(item)
-        self._kernel.notify_waiter(self)
-
-    def get(self, timeout: float | None = None):
-        return self._kernel.block_on(self, timeout)
-
-    def close(self) -> None:
-        self._closed = True
-        self._kernel.wake_all_waiters(self)
-
-
-class SimClock:
-    def __init__(self, kernel: SimKernel):
-        self._kernel = kernel
-
-    def now(self) -> float:
-        return self._kernel.now()
-
-    def sleep(self, seconds: float) -> None:
-        self._kernel.sleep(seconds)
-
-
-class SimRuntime:
-    def __init__(self):
-        self.kernel = SimKernel()
-        self.clock = SimClock(self.kernel)
-
-    def channel(self) -> SimChannel:
-        return SimChannel(self.kernel)
-
-    def spawn(self, name: str, fn, *args) -> None:
-        self.kernel.spawn(name, fn, *args)
-
-    def run_all(self) -> None:
-        self.kernel.run()
+            for actor in channel._waiters[: None if everyone else 1]:
+                channel._waiters.remove(actor)
+                actor.state = _READY
+                actor.seq = self._next_seq()

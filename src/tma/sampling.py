@@ -101,10 +101,6 @@ def build_mfg(g: Graph, seed_nodes: np.ndarray, fanouts, rng: np.random.Generato
             within = np.arange(len(nbrs)) - np.repeat(starts, counts)
             mask = within < fanout
             nbrs, seg, counts = nbrs[order][mask], seg_sorted[mask], kept_counts
-        elif fanout == 0:
-            nbrs = np.empty(0, np.int64)
-            seg = np.empty(0, np.int64)
-            counts = np.zeros(len(frontier), dtype=np.int64)
         hops.append((frontier, nbrs, seg, counts))
         frontier = np.unique(np.concatenate([frontier, nbrs]))
 

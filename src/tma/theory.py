@@ -67,10 +67,10 @@ def expected_edge_cut(s: TwoClassSetup) -> float:
     return (1.0 - 2.0 * (1.0 - b) * b - (2.0 * b - 1.0) ** 2 * h) * s.eta**2 / s.c_norm
 
 
-def argmin_edge_cut_beta(h: float, eta: int = 100, grid_step: float = 0.01) -> float:
-    """Grid-minimize the expected cut over beta in [0.5, 1]."""
-    betas = np.linspace(0.5, 1.0, round(0.5 / grid_step) + 1)
-    cuts = [expected_edge_cut(TwoClassSetup(beta=float(b), h=h, eta=eta)) for b in betas]
+def argmin_edge_cut_beta(h: float) -> float:
+    """Grid-minimize the expected cut over beta in [0.5, 1], in steps of 0.01."""
+    betas = np.linspace(0.5, 1.0, 51)
+    cuts = [expected_edge_cut(TwoClassSetup(beta=float(b), h=h, eta=100)) for b in betas]
     return float(betas[int(np.argmin(cuts))])
 
 

@@ -42,6 +42,7 @@ _HEADER = struct.Struct("<IBIH")  # frame_len, msg_type, round, trainer
 _REPORT = struct.Struct("<qd")  # a WEIGHTS payload starts with the trainer's steps, loss
 # largest frame_len a reader accepts, so a peer cannot make it buffer up to 4 GiB
 MAX_FRAME_LEN = 64 << 20
+CONNECT_TIMEOUT_S = 10.0
 
 
 class TransportError(RuntimeError):
@@ -65,8 +66,8 @@ class InProcTransports:
     def trainer_endpoint(self, trainer_id: int) -> "InProcTrainerEndpoint":
         return InProcTrainerEndpoint(self, trainer_id)
 
-    def kv_get(self, key, default=None):
-        return self.kv.get(key, default)
+    def kv_get(self, key):
+        return self.kv.get(key)
 
     def kv_set(self, key, value):
         self.kv.set(key, value)
@@ -87,8 +88,8 @@ class InProcTrainerEndpoint:
         self._hub = hub
         self.trainer_id = trainer_id
 
-    def kv_get(self, key, default=None):
-        return self._hub.kv.get(key, default)
+    def kv_get(self, key):
+        return self._hub.kv.get(key)
 
     def kv_set(self, key, value):
         self._hub.kv.set(key, value)
@@ -224,8 +225,8 @@ class TcpCoordinator:
                 pass
 
     # endpoint API
-    def kv_get(self, key, default=None):
-        return self.kv.get(key, default)
+    def kv_get(self, key):
+        return self.kv.get(key)
 
     def kv_set(self, key, value):
         payload = _encode_kv(key, value)
@@ -249,11 +250,11 @@ class TcpTrainerEndpoint:
     """Trainer side: one socket, and a reader thread that applies pushed flags
     to a local KvStore and queues global weights."""
 
-    def __init__(self, address, trainer_id: int, model: ModelConfig, connect_timeout=10.0):
+    def __init__(self, address, trainer_id: int, model: ModelConfig):
         self.trainer_id = trainer_id
         self._model = model
         self.kv = KvStore()
-        self._sock = socket.create_connection(address, timeout=connect_timeout)
+        self._sock = socket.create_connection(address, timeout=CONNECT_TIMEOUT_S)
         self._sock.settimeout(None)
         # with Nagle on, a frame's last partial segment can wait for the ACK
         # of data sent before it, which the peer may delay by up to 40 ms
@@ -286,8 +287,8 @@ class TcpTrainerEndpoint:
             except OSError:
                 raise ChannelClosed from None
 
-    def kv_get(self, key, default=None):
-        return self.kv.get(key, default)
+    def kv_get(self, key):
+        return self.kv.get(key)
 
     def kv_set(self, key, value):
         self._send(MSG_KV_SET, 0, _encode_kv(key, value))

@@ -86,7 +86,7 @@ class TestPipeline:
             "--save-weights", weights,
         ]) == 0
         # metrics CSV carries config echo plus at least one val row
-        lines = open(metrics).read().splitlines()
+        lines = Path(metrics).read_text().splitlines()
         assert any(line.startswith("# nodes=300") for line in lines)
         rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
         val_rows = [r for r in rows if r["split"] == "val"]
@@ -123,7 +123,7 @@ class TestPipeline:
             run_cli(["split", "--config", str(small_cfg), "--graph", prefix + ".graph",
                      "--out", prefix])
         for suffix in (".graph", ".feat", ".labels", ".train.graph", ".splits"):
-            assert open(a + suffix, "rb").read() == open(b + suffix, "rb").read()
+            assert Path(a + suffix).read_bytes() == Path(b + suffix).read_bytes()
 
 
 class TestTheoryCheckCommand:
@@ -133,7 +133,7 @@ class TestTheoryCheckCommand:
             "theory-check", "--grid-beta", "0.5:1.0:0.25", "--grid-h", "0.6:0.8:0.2",
             "--seeds", "0", "--report", report,
         ]) == 0
-        rows = list(csv.DictReader(open(report)))
+        rows = list(csv.DictReader(Path(report).read_text().splitlines()))
         assert len(rows) == 6
         assert {"h", "beta", "lambda"} <= set(rows[0])
 
@@ -143,7 +143,7 @@ class TestTheoryCheckCommand:
             "theory-check", "--grid-beta", "0.75:0.75:1", "--grid-h", "0.8:0.8:1",
             "--seeds", "2", "--eta", "300", "--report", report,
         ]) == 0
-        rows = list(csv.DictReader(open(report)))
+        rows = list(csv.DictReader(Path(report).read_text().splitlines()))
         assert len(rows) == 1
         assert float(rows[0]["cut_measured"]) > 0
         assert float(rows[0]["grad_rel_err"]) < 0.2
@@ -164,7 +164,7 @@ class TestFailureSweep:
             "--fail-count", "1",
             "--out", out,
         ]) == 0
-        lines = [l for l in open(out).read().splitlines() if not l.startswith("#")]
+        lines = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
         rows = list(csv.DictReader(lines))
         # baseline + one row per dropped trainer + the averaged row
         assert [r["fail_ids"] for r in rows] == ["none", "0", "1", "avg_failed"]

@@ -44,7 +44,7 @@ from tma.transport import (
 
 
 # ---------------------------------------------------------------------------
-# sim kernel
+# sim runtime
 
 
 class TestSimKernel:
@@ -108,6 +108,75 @@ class TestSimKernel:
         rt.spawn("a", actor)
         rt.run_all()
         assert seen["t"] == 4.0
+
+        # a put wakes the waiter but the putter takes the item back first:
+        # the deadline stays the one set when the get began, as on threads
+        rt = SimRuntime()
+        ch = rt.channel()
+        seen = {}
+
+        def waiter():
+            try:
+                ch.get(timeout=0.2)
+            except ChannelTimeout:
+                seen["t"] = rt.clock.now()
+
+        def taker():
+            rt.clock.sleep(0.1)
+            ch.put("x")
+            seen["taken"] = ch.get()
+
+        rt.spawn("waiter", waiter)
+        rt.spawn("taker", taker)
+        rt.run_all()
+        assert seen == {"taken": "x", "t": 0.2}
+
+    def test_timed_out_waiter_closes_a_channel_an_untimed_one_waits_on(self):
+        rt = SimRuntime()
+        a, b = rt.channel(), rt.channel()
+        seen = {}
+
+        def untimed():
+            try:
+                a.get()
+            except ChannelClosed:
+                seen["closed"] = rt.clock.now()
+
+        def timed():
+            try:
+                b.get(timeout=1.0)
+            except ChannelTimeout:
+                seen["timed_out"] = rt.clock.now()
+                a.close()
+
+        rt.spawn("untimed", untimed)
+        rt.spawn("timed", timed)
+        rt.run_all()  # no DeadlockError: the timed waiter had a deadline
+        assert seen == {"timed_out": 1.0, "closed": 1.0}
+
+    def test_put_wakes_the_first_waiter_and_close_the_rest(self):
+        rt = SimRuntime()
+        ch = rt.channel()
+        got = []
+
+        def waiter(name):
+            try:
+                got.append((name, ch.get(), rt.clock.now()))
+            except ChannelClosed:
+                got.append((name, "closed", rt.clock.now()))
+
+        def driver():
+            rt.clock.sleep(1.0)
+            ch.put("x")
+            assert [a.name for a in ch._waiters] == ["second"]
+            rt.clock.sleep(1.0)
+            ch.close()
+
+        rt.spawn("first", waiter, "first")
+        rt.spawn("second", waiter, "second")
+        rt.spawn("driver", driver)
+        rt.run_all()
+        assert got == [("first", "x", 1.0), ("second", "closed", 2.0)]
 
     def test_deadlock_detected(self):
         rt = SimRuntime()
