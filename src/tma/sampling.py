@@ -36,7 +36,7 @@ class Mfg:
 
     def output_positions(self, nodes: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self.output_nodes, nodes)
-        if np.any(self.output_nodes[pos] != nodes):
+        if np.any(pos == len(self.output_nodes)) or np.any(self.output_nodes[pos] != nodes):
             raise SamplingError("node missing from output layer")
         return pos
 
@@ -62,18 +62,31 @@ class Minibatch:
 
 
 def _gather_adjacency(g: Graph, frontier: np.ndarray):
-    """All adjacency entries of the frontier nodes, with segment ids."""
+    """All adjacency entries of the frontier nodes, grouped by node.
+
+    Returns the neighbour ids, each entry's rank within its node's group,
+    and the per-node counts.
+    """
     counts = (g.indptr[frontier + 1] - g.indptr[frontier]).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), counts
-    seg_starts = np.cumsum(counts) - counts
-    offsets = np.repeat(seg_starts, counts)
-    intra = np.arange(total) - offsets
+    intra = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     flat = np.repeat(g.indptr[frontier], counts) + intra
-    nbrs = g.indices[flat].astype(np.int64)
-    seg = np.repeat(np.arange(len(frontier)), counts)
-    return nbrs, seg, counts
+    return g.indices[flat].astype(np.int64), intra, counts
+
+
+def _segment_order(seg: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.lexsort((keys, seg))`` for integer ``seg`` and ``keys`` in [0, 1).
+
+    The exact sums ``seg + keys`` order the entries by segment and then by
+    key, and rounding them to floats never reverses two of them. So when the
+    sorted float sums strictly increase, one float sort gives the
+    lexicographic order; a tie falls back to ``np.lexsort``.
+    """
+    sums = seg + keys
+    order = np.argsort(sums)
+    sums = sums[order]
+    if np.all(sums[1:] > sums[:-1]):
+        return order
+    return np.lexsort((keys, seg))
 
 
 def build_mfg(g: Graph, seed_nodes: np.ndarray, fanouts, rng: np.random.Generator) -> Mfg:
@@ -81,43 +94,48 @@ def build_mfg(g: Graph, seed_nodes: np.ndarray, fanouts, rng: np.random.Generato
 
     ``fanouts[i]`` caps the neighbors drawn on hop i+1 from the batch nodes
     (used by encoder layer ``L - i``); ``None`` means no cap. Sampling is
-    without replacement per node and deterministic given the rng state.
+    without replacement per node. Apart from the per-hop sort of the
+    sampled keys, the work is linear in the nodes and the adjacency
+    entries of the frontier, and the result is bit-equal for a given rng
+    state.
     """
-    seeds = np.unique(np.asarray(seed_nodes, dtype=np.int64))
-    if len(seeds) and (seeds[0] < 0 or seeds[-1] >= g.num_nodes):
+    seed_nodes = np.asarray(seed_nodes, dtype=np.int64)
+    if seed_nodes.size and (seed_nodes.min() < 0 or seed_nodes.max() >= g.num_nodes):
         raise SamplingError("seed node outside the local graph")
-    frontier = seeds
-    hops = []  # (dst_frontier, kept neighbor ids, kept segment ids, kept counts)
+    # frontiers grow monotonically: each is the sorted set of nodes seen so far
+    seen = np.zeros(g.num_nodes, dtype=bool)
+    seen[seed_nodes] = True
+    seeds = frontier = np.flatnonzero(seen)
+    hops = []  # (dst_frontier, kept neighbor ids, kept counts)
     for fanout in fanouts:
         if fanout is not None and fanout < 0:
             raise SamplingError("fanout must be >= 0 or None")
-        nbrs, seg, counts = _gather_adjacency(g, frontier)
+        nbrs, intra, counts = _gather_adjacency(g, frontier)
         if fanout is not None and len(nbrs) and np.any(counts > fanout):
             keys = rng.random(len(nbrs))
-            order = np.lexsort((keys, seg))
-            seg_sorted = seg[order]
-            kept_counts = np.minimum(counts, fanout)
-            starts = np.cumsum(counts) - counts
-            within = np.arange(len(nbrs)) - np.repeat(starts, counts)
-            mask = within < fanout
-            nbrs, seg, counts = nbrs[order][mask], seg_sorted[mask], kept_counts
-        hops.append((frontier, nbrs, seg, counts))
-        frontier = np.unique(np.concatenate([frontier, nbrs]))
+            seg = np.repeat(np.arange(len(frontier)), counts)
+            # sorting keeps each segment in its slots, so ``intra`` ranks the sorted entries
+            order = _segment_order(seg, keys)[intra < fanout]
+            nbrs, counts = nbrs[order], np.minimum(counts, fanout)
+        hops.append((frontier, nbrs, counts))
+        seen[nbrs] = True
+        frontier = np.flatnonzero(seen)
 
     input_nodes = frontier
     blocks: list[Block] = []
+    position = np.empty(g.num_nodes, dtype=np.int64)
     # deepest hop becomes the first encoder block
     src = input_nodes
-    for dst, nbrs, seg, counts in reversed(hops):
+    for dst, nbrs, counts in reversed(hops):
+        position[src] = np.arange(len(src))
         indptr = np.zeros(len(dst) + 1, dtype=np.int64)
-        np.add.at(indptr, seg + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(counts, out=indptr[1:])
         blocks.append(
             Block(
                 num_src=len(src),
                 indptr=indptr,
-                nbr=np.searchsorted(src, nbrs),
-                self_idx=np.searchsorted(src, dst),
+                nbr=position[nbrs],
+                self_idx=position[dst],
             )
         )
         src = dst

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tma.graph import Graph, generate_synthetic
-from tma.nn import ModelConfig, encode, init_weights
-from tma.sampling import SamplingError, build_mfg, sample_minibatch
+from tma.nn import Block, ModelConfig, encode, init_weights
+from tma.sampling import Mfg, SamplingError, _segment_order, build_mfg, sample_minibatch
 
 
 def path_graph(n=6):
@@ -81,6 +81,107 @@ class TestBuildMfg:
         for ba, bb in zip(a.blocks, b.blocks):
             assert np.array_equal(ba.nbr, bb.nbr)
             assert np.array_equal(ba.indptr, bb.indptr)
+
+    @pytest.mark.parametrize("seed", [-1, 6, -6])
+    def test_seed_outside_graph_rejected(self, seed):
+        # a negative id must not wrap around into the node mask
+        with pytest.raises(SamplingError, match="seed node outside the local graph"):
+            build_mfg(path_graph(6), np.array([seed]), [2], np.random.default_rng(0))
+
+
+def test_output_positions_rejects_node_above_every_output():
+    mfg = Mfg(blocks=[], input_nodes=np.array([1, 2, 3]), output_nodes=np.array([1, 2, 3]))
+    assert mfg.output_positions(np.array([3, 1])).tolist() == [2, 0]
+    with pytest.raises(SamplingError, match="node missing from output layer"):
+        mfg.output_positions(np.array([5]))
+    with pytest.raises(SamplingError, match="node missing from output layer"):
+        mfg.output_positions(np.array([0]))
+
+
+def reference_build_mfg(g, seed_nodes, fanouts, rng):
+    """The sampler as first written, with sorts and binary searches."""
+    seeds = np.unique(np.asarray(seed_nodes, dtype=np.int64))
+    frontier = seeds
+    hops = []
+    for fanout in fanouts:
+        counts = (g.indptr[frontier + 1] - g.indptr[frontier]).astype(np.int64)
+        flat = np.concatenate(
+            [np.arange(g.indptr[u], g.indptr[u + 1]) for u in frontier] + [np.empty(0, np.int64)]
+        )
+        nbrs = g.indices[flat].astype(np.int64)
+        seg = np.repeat(np.arange(len(frontier)), counts)
+        if fanout is not None and len(nbrs) and np.any(counts > fanout):
+            keys = rng.random(len(nbrs))
+            order = np.lexsort((keys, seg))
+            starts = np.cumsum(counts) - counts
+            within = np.arange(len(nbrs)) - np.repeat(starts, counts)
+            mask = within < fanout
+            nbrs, seg, counts = nbrs[order][mask], seg[order][mask], np.minimum(counts, fanout)
+        hops.append((frontier, nbrs, seg))
+        frontier = np.unique(np.concatenate([frontier, nbrs]))
+    blocks = []
+    src = frontier
+    for dst, nbrs, seg in reversed(hops):
+        indptr = np.zeros(len(dst) + 1, dtype=np.int64)
+        np.add.at(indptr, seg + 1, 1)
+        np.cumsum(indptr, out=indptr)
+        blocks.append(
+            Block(
+                num_src=len(src),
+                indptr=indptr,
+                nbr=np.searchsorted(src, nbrs),
+                self_idx=np.searchsorted(src, dst),
+            )
+        )
+        src = dst
+    return Mfg(blocks=blocks, input_nodes=frontier, output_nodes=seeds)
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("fanouts", [(10, 5), (2, 2), (None, 3), (0, 4), (25, 25), (3,)])
+@pytest.mark.parametrize("num_seeds", [0, 7, 40])
+def test_build_mfg_matches_reference(fanouts, num_seeds):
+    g, _, _ = generate_synthetic(300, 8.0, 0.7, seed=11)
+    seeds = np.random.default_rng(num_seeds).integers(0, g.num_nodes, size=num_seeds)
+    rng_ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = reference_build_mfg(g, seeds, list(fanouts), rng_ref)
+    got = build_mfg(g, seeds, list(fanouts), rng)
+    assert_same_array(got.input_nodes, want.input_nodes)
+    assert_same_array(got.output_nodes, want.output_nodes)
+    assert len(got.blocks) == len(want.blocks) == len(fanouts)
+    for b_got, b_want in zip(got.blocks, want.blocks):
+        assert b_got.num_src == b_want.num_src
+        assert_same_array(b_got.indptr, b_want.indptr)
+        assert_same_array(b_got.nbr, b_want.nbr)
+        assert_same_array(b_got.self_idx, b_want.self_idx)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "seg, keys, want",
+    [
+        # both sums round to 4096.5
+        ([4096, 4096], [0.5 + 2**-45, 0.5], [1, 0]),
+        # both sums round to 4096.0
+        ([4095, 4096], [1 - 2**-53, 0.0], [0, 1]),
+    ],
+)
+def test_segment_order_falls_back_to_lexsort_on_tied_sums(monkeypatch, seg, keys, want):
+    seg, keys = np.array(seg, dtype=np.int64), np.array(keys)
+    calls = []
+    lexsort = np.lexsort
+
+    def spy(k):
+        calls.append(k)
+        return lexsort(k)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    assert _segment_order(seg, keys).tolist() == want == lexsort((keys, seg)).tolist()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("encoder", ["gcn", "sage", "mlp"])
