@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fileio, theory
 from .config import ConfigError, ExperimentConfig
-from .coordination import RunConfig, TrainerSpec, run_training
+from .coordination import ProtocolError, RunConfig, TrainerSpec, run_training
 from .evaluate import evaluate
 from .graph import GraphError, build_splits, generate_synthetic
 from .nn import ModelConfig, NnError, load_weights, save_weights
@@ -260,6 +260,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}, expected lo:hi:step") from exc
+    if step <= 0 or hi < lo:
+        raise ConfigError(f"bad grid {text!r}, need lo <= hi and step > 0")
     count = int(round((hi - lo) / step)) + 1
     return np.linspace(lo, hi, count)
 
@@ -328,6 +330,8 @@ def cmd_theory_check(args) -> int:
 
 def cmd_failure_sweep(args) -> int:
     cfg = _config_from_args(args)
+    if not 1 <= args.fail_count < cfg.trainers:
+        raise ConfigError(f"fail_count must be in [1, trainers - 1 = {cfg.trainers - 1}]")
     train_graph, features, splits, specs = _load_training_inputs(args, cfg)
     model = build_model_config(cfg, features.shape[1])
     base = _run_config(cfg, model)
@@ -446,7 +450,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, GraphError, PartitionError, NnError, ValueError, OSError) as exc:
+    except (ConfigError, GraphError, PartitionError, NnError, ProtocolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

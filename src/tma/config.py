@@ -147,6 +147,8 @@ class ExperimentConfig:
             problems.append("interval must be positive and below budget")
         if self.batch_size < 1:
             problems.append("batch_size must be >= 1")
+        if not self.readiness_timeout > 0:
+            problems.append("readiness_timeout must be positive")
         if len(self.step_times) not in (1, self.trainers):
             problems.append("step_times must have 1 entry or one per trainer")
         if any(t < 0 for t in self.step_times):

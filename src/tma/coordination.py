@@ -13,8 +13,9 @@ current step and exits cleanly.
 
 A failed trainer is one that was never started: the caller leaves its spec
 out, and the rounds average the trainers that run. The server waits up to
-``readiness_timeout`` only for a registered trainer that never sets its
-``ready`` flag (a TCP peer that never connects), then goes on without it.
+``readiness_timeout`` only for a registered trainer whose endpoint never
+connects, then goes on without it. Flags flow one way: the server sets
+them, the trainers read them.
 
 Both modes keep one round book (``_Rounds``): the global weights, metrics
 row and close time of every round, and the evaluations still in flight.
@@ -89,6 +90,8 @@ class RunConfig:
             raise ProtocolError("need 0 < agg_interval < train_budget")
         if self.batch_size < 1:
             raise ProtocolError("batch_size must be positive")
+        if not self.readiness_timeout > 0:
+            raise ProtocolError("readiness_timeout must be positive")
 
 
 @dataclass
@@ -239,21 +242,13 @@ class _Rounds:
 
 
 def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs, eval_results):
-    trainer_ids = list(endpoint.trainer_ids)
-    t0 = clock.now()
-    while True:
-        ready = [i for i in trainer_ids if endpoint.kv_get(f"ready/{i}")]
-        if len(ready) == len(trainer_ids):
-            break
-        if clock.now() - t0 >= cfg.readiness_timeout:
-            break
+    ids, t0 = endpoint.trainer_ids, clock.now()
+    while len(endpoint.connected()) < len(ids) and clock.now() - t0 < cfg.readiness_timeout:
         clock.sleep(SERVER_POLL)
-    live = sorted(ready)
+    live = endpoint.connected()
     if not live:
         raise ProtocolError("no trainer became ready before the readiness timeout")
 
-    endpoint.kv_set("agg", False)
-    endpoint.kv_set("stop", False)
     w_global = initial.copy()
     for i in live:
         endpoint.send_global(i, 0, w_global)
@@ -266,7 +261,8 @@ def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs
 
     book = _Rounds(clock, w_global, eval_jobs, eval_results)
     t_agg = book.t_start
-    while not endpoint.kv_get("stop"):
+    stop = False
+    while not stop:
         if clock.now() - t_agg >= cfg.agg_interval:
             endpoint.kv_set("agg", True)
             collected = []
@@ -291,6 +287,7 @@ def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs
             t_agg = clock.now()
         if clock.now() - book.t_start > cfg.train_budget:
             endpoint.kv_set("stop", True)
+            stop = True
         book.drain()
         clock.sleep(SERVER_POLL)
 
@@ -307,7 +304,6 @@ def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: Trainer
     degenerate = sub.num_edges == 0 or sub.num_nodes < 2
     log.degenerate = degenerate
     features = sub.features
-    endpoint.kv_set(f"ready/{spec.trainer_id}", True)
 
     try:
         tag, w = endpoint.recv_global()

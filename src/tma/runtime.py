@@ -53,9 +53,9 @@ class SimAborted(RuntimeError):
 
 
 class KvStore:
-    """Boolean flag store: ``ready/<i>``, ``agg`` and ``stop``. The in-process
-    endpoints share one; over TCP the server and each trainer hold their own,
-    and the server pushes the flags it sets to the trainers' copies."""
+    """Boolean flag store: ``agg`` and ``stop``, written only by the server.
+    The in-process endpoints share one; over TCP each trainer holds its own,
+    and the server pushes the flags it sets to every trainer's copy."""
 
     def __init__(self):
         self._data: dict[str, object] = {}

@@ -7,22 +7,25 @@ Either way a trainer's round report is one message, ``send_weights(round,
 weights, steps, loss)``, which the server reads back as the tuple
 ``recv_weights(i) -> (round, weights, steps, loss)``.
 
-Wire frame: {frame_len u32, msg_type u8, round u32, trainer u16, payload},
-little-endian; frame_len counts everything after itself. Three frame types:
-- KV_SET, both ways: ``key \x00 flag``, the flag one byte, 0 or 1. A
-  trainer sets one key, its own ``ready/<i>``, once; the server hangs up on
-  a trainer that sets any other. The server pushes the flags it sets
-  (``agg``, ``stop``) to every connected trainer.
-- WEIGHTS, from a trainer: ``steps i64, loss f64`` (the report), then the
-  weight checkpoint bytes of ``nn.weights_to_bytes``.
-- GLOBAL_WEIGHTS, from the server: the checkpoint bytes alone.
+Liveness is the transport's job: the server endpoint's ``connected()``
+lists the trainers whose endpoints exist. Flags flow one way, set by the
+server (``kv_set``) and read by the trainers (``kv_get``).
 
-Each side reads flags from its own KvStore, never over the wire. One socket
+Wire frame: {frame_len u32, msg_type u8, round u32, trainer u16, payload},
+little-endian; frame_len counts everything after itself.
+- trainer -> server: one empty HELLO, which claims the frame's trainer id,
+  then only WEIGHTS for that id: ``steps i64, loss f64`` (the report), then
+  the weight checkpoint bytes of ``nn.weights_to_bytes``.
+- server -> trainer: KV_SET, ``key \x00 flag`` with the flag one byte, 0 or
+  1 (``agg``, ``stop``, pushed to every connected trainer); GLOBAL_WEIGHTS,
+  the checkpoint bytes alone.
+
+A trainer reads flags from its own KvStore, never over the wire. One socket
 and one reader per connection keep order, so a trainer applies
 ``agg=False`` before the GLOBAL_WEIGHTS frame sent after it; when the
 server's stream ends, the trainer's ``stop`` reads True. A peer that sends
-an undecodable frame, or weights whose tensors are not the model's, is hung
-up on.
+an undecodable frame, a frame outside its direction's grammar, or weights
+whose tensors are not the model's, is hung up on.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .runtime import ChannelClosed, KvStore, ThreadChannel
 MSG_WEIGHTS = 2
 MSG_GLOBAL_WEIGHTS = 3
 MSG_KV_SET = 6
+MSG_HELLO = 7
 
 _HEADER = struct.Struct("<IBIH")  # frame_len, msg_type, round, trainer
 _REPORT = struct.Struct("<qd")  # a WEIGHTS payload starts with the trainer's steps, loss
@@ -55,19 +59,25 @@ class TransportError(RuntimeError):
 
 class InProcTransports:
     """The in-process hub and its server endpoint: one KvStore shared with the
-    trainers, and a channel each way per trainer; weights are copied on send."""
+    trainers, and a channel each way per trainer; weights are copied on send.
+    A trainer is connected once its endpoint has been handed out."""
 
     def __init__(self, runtime, trainer_ids):
         self.kv = KvStore()
         self.trainer_ids = sorted(trainer_ids)
         self._to_server = {i: runtime.channel() for i in self.trainer_ids}
         self._to_trainer = {i: runtime.channel() for i in self.trainer_ids}
+        self._connected: set[int] = set()
+        self._lock = threading.Lock()  # trainer threads add while the server reads
 
     def trainer_endpoint(self, trainer_id: int) -> "InProcTrainerEndpoint":
+        with self._lock:
+            self._connected.add(trainer_id)
         return InProcTrainerEndpoint(self, trainer_id)
 
-    def kv_get(self, key):
-        return self.kv.get(key)
+    def connected(self) -> list[int]:
+        with self._lock:
+            return sorted(self._connected)
 
     def kv_set(self, key, value):
         self.kv.set(key, value)
@@ -90,9 +100,6 @@ class InProcTrainerEndpoint:
 
     def kv_get(self, key):
         return self._hub.kv.get(key)
-
-    def kv_set(self, key, value):
-        self._hub.kv.set(key, value)
 
     def send_weights(self, round_t: int, weights: ModelWeights, steps: int, loss: float):
         self._hub._to_server[self.trainer_id].put((round_t, weights.copy(), steps, loss))
@@ -160,11 +167,10 @@ def recv_frame(sock: socket.socket):
 
 
 class TcpCoordinator:
-    """Server side of the TCP transport: listener, per-connection readers, kv.
-    A connection's first frame claims its trainer id; kv_set pushes to all."""
+    """Server side of the TCP transport: listener and per-connection readers.
+    A connection's HELLO claims its trainer id; kv_set pushes to all."""
 
     def __init__(self, trainer_ids, model: ModelConfig, host: str = "127.0.0.1", port: int = 0):
-        self.kv = KvStore()
         self.trainer_ids = sorted(trainer_ids)
         self._model = model
         self._inbox = {i: ThreadChannel() for i in self.trainer_ids}
@@ -185,28 +191,22 @@ class TcpCoordinator:
     def _reader_loop(self, conn: socket.socket):
         trainer_id = None
         try:
+            msg_type, _, trainer, payload = recv_frame(conn)
+            if msg_type != MSG_HELLO or payload:
+                raise TransportError(f"a connection must open with an empty HELLO, not type {msg_type}")
+            entry = (conn, threading.Lock())
+            if trainer not in self._inbox or self._conns.setdefault(trainer, entry) is not entry:
+                raise TransportError(f"trainer id {trainer} is unknown or taken")
+            trainer_id = trainer
             while True:
                 msg_type, round_t, trainer, payload = recv_frame(conn)
-                if trainer_id is None:
-                    entry = (conn, threading.Lock())
-                    if trainer not in self._inbox or self._conns.setdefault(trainer, entry) is not entry:
-                        raise TransportError(f"trainer id {trainer} is unknown or taken")
-                    trainer_id = trainer
-                elif trainer != trainer_id:
-                    raise TransportError(f"frame for trainer {trainer} on trainer {trainer_id}'s connection")
-                if msg_type == MSG_KV_SET:
-                    key, value = _decode_kv(payload)
-                    if key != f"ready/{trainer_id}":
-                        raise TransportError(f"trainer {trainer_id} may not set {key[:64]!r}")
-                    self.kv.set(key, value)
-                elif msg_type == MSG_WEIGHTS:
-                    if len(payload) < _REPORT.size:
-                        raise TransportError(f"weights frame of {len(payload)} bytes has no report")
-                    steps, loss = _REPORT.unpack_from(payload)
-                    weights = weights_from_bytes(payload[_REPORT.size :], self._model)
-                    self._inbox[trainer_id].put((round_t, weights, steps, loss))
-                else:
-                    raise TransportError(f"unexpected frame type {msg_type} from trainer")
+                if (msg_type, trainer) != (MSG_WEIGHTS, trainer_id):
+                    raise TransportError(f"trainer {trainer_id} sent type {msg_type} as trainer {trainer}")
+                if len(payload) < _REPORT.size:
+                    raise TransportError(f"weights frame of {len(payload)} bytes has no report")
+                steps, loss = _REPORT.unpack_from(payload)
+                weights = weights_from_bytes(payload[_REPORT.size :], self._model)
+                self._inbox[trainer_id].put((round_t, weights, steps, loss))
         except _STREAM_ENDS:
             pass
         finally:
@@ -225,12 +225,11 @@ class TcpCoordinator:
                 pass
 
     # endpoint API
-    def kv_get(self, key):
-        return self.kv.get(key)
+    def connected(self) -> list[int]:
+        return sorted(self._conns)
 
     def kv_set(self, key, value):
         payload = _encode_kv(key, value)
-        self.kv.set(key, value)
         for trainer_id in list(self._conns):
             self._send(trainer_id, MSG_KV_SET, 0, payload)
 
@@ -247,8 +246,8 @@ class TcpCoordinator:
 
 
 class TcpTrainerEndpoint:
-    """Trainer side: one socket, and a reader thread that applies pushed flags
-    to a local KvStore and queues global weights."""
+    """Trainer side: one socket, opened with a HELLO, and a reader thread that
+    applies pushed flags to a local KvStore and queues global weights."""
 
     def __init__(self, address, trainer_id: int, model: ModelConfig):
         self.trainer_id = trainer_id
@@ -261,6 +260,7 @@ class TcpTrainerEndpoint:
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
         self._global_q = ThreadChannel()
+        self._send(MSG_HELLO, 0)
         threading.Thread(target=self._reader_loop, daemon=True).start()
 
     def _reader_loop(self):
@@ -289,9 +289,6 @@ class TcpTrainerEndpoint:
 
     def kv_get(self, key):
         return self.kv.get(key)
-
-    def kv_set(self, key, value):
-        self._send(MSG_KV_SET, 0, _encode_kv(key, value))
 
     def send_weights(self, round_t: int, weights: ModelWeights, steps: int, loss: float):
         self._send(MSG_WEIGHTS, round_t, _REPORT.pack(steps, loss) + weights_to_bytes(weights))

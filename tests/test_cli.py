@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tma import fileio
+from tma import cli, fileio
 from tma.cli import build_model_config, convergence_time, main
 from tma.config import ConfigError, ExperimentConfig
-from tma.coordination import MetricsRecord
+from tma.coordination import MetricsRecord, ProtocolError
 from tma.nn import init_weights, save_weights
 
 
@@ -148,13 +148,34 @@ class TestTheoryCheckCommand:
         assert float(rows[0]["cut_measured"]) > 0
         assert float(rows[0]["grad_rel_err"]) < 0.2
 
+    @pytest.mark.parametrize("grid", ["0.5:1.0:0", "0.5:1.0:-0.1", "1.0:0.5:0.1"])
+    def test_bad_grid_single_line(self, tmp_path, capsys, grid):
+        report = tmp_path / "theory.csv"
+        assert run_cli(["theory-check", "--grid-beta", grid, "--report", str(report)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: bad grid '{grid}'")
+        assert "\n" not in err
+        assert not report.exists()
+
+
+@pytest.fixture
+def dataset(tmp_path, small_cfg):
+    """Path prefix of small_cfg's generated and split graph."""
+    prefix = str(tmp_path / "data")
+    assert run_cli(["generate", "--config", str(small_cfg), "--out", prefix]) == 0
+    assert run_cli(["split", "--config", str(small_cfg), "--graph", prefix + ".graph",
+                    "--out", prefix]) == 0
+    return prefix
+
+
+def _inputs(prefix):
+    return ["--graph", prefix + ".train.graph", "--features", prefix + ".feat",
+            "--splits", prefix + ".splits"]
+
 
 class TestFailureSweep:
-    def test_sweep_rows(self, tmp_path, small_cfg):
-        prefix = str(tmp_path / "data")
-        run_cli(["generate", "--config", str(small_cfg), "--out", prefix])
-        run_cli(["split", "--config", str(small_cfg), "--graph", prefix + ".graph",
-                 "--out", prefix])
+    def test_sweep_rows(self, tmp_path, small_cfg, dataset):
+        prefix = dataset
         out = str(tmp_path / "sweep.csv")
         assert run_cli([
             "failure-sweep", "--config", str(small_cfg),
@@ -170,6 +191,17 @@ class TestFailureSweep:
         assert [r["fail_ids"] for r in rows] == ["none", "0", "1", "avg_failed"]
         failed = [float(r["test_mrr"]) for r in rows[1:3]]
         assert float(rows[3]["test_mrr"]) == pytest.approx(np.mean(failed))
+
+    @pytest.mark.parametrize("count", [0, 2, 3])  # small_cfg has 2 trainers
+    def test_fail_count_out_of_range_single_line(self, tmp_path, small_cfg, dataset, capsys, count):
+        out = tmp_path / "sweep.csv"
+        rc = run_cli(["failure-sweep", "--config", str(small_cfg), *_inputs(dataset),
+                      "--fail-count", str(count), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: fail_count must be in [1, trainers - 1 = 1]")
+        assert "\n" not in err
+        assert not out.exists()
 
 
 class TestErrorPaths:
@@ -213,6 +245,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: weight checkpoint")
         assert "\n" not in err
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_nonpositive_readiness_timeout_single_line(self, small_cfg, dataset, capsys, timeout):
+        rc = run_cli(["train", "--config", str(small_cfg), *_inputs(dataset),
+                      "--readiness-timeout", timeout])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error: readiness_timeout must be positive"
+
+    def test_protocol_error_single_line(self, monkeypatch, small_cfg, dataset, capsys):
+        def no_trainer(*args, **kwargs):
+            raise ProtocolError("no trainer became ready before the readiness timeout")
+
+        monkeypatch.setattr(cli, "run_training", no_trainer)
+        assert run_cli(["train", "--config", str(small_cfg), *_inputs(dataset)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error: no trainer became ready before the readiness timeout"
 
     def test_config_violations_single_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"

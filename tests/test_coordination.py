@@ -33,6 +33,7 @@ from tma.runtime import (
 from tma import transport
 from tma.transport import (
     MAX_FRAME_LEN,
+    MSG_HELLO,
     MSG_KV_SET,
     MSG_WEIGHTS,
     InProcTransports,
@@ -415,11 +416,13 @@ def run_on_hub(cfg, registered, specs, train, x, splits):
     def eval_fn(weights, split, round_t):
         return evaluate(weights, cfg.model, train, x, splits, split, round_t).mrr
 
+    def trainer(spec):
+        endpoint = hub.trainer_endpoint(spec.trainer_id)
+        run_trainer(spec, cfg, endpoint, rt.clock, TrainerLog(trainer_id=spec.trainer_id))
+
     rt.spawn("server", server)
     for spec in specs:
-        endpoint = hub.trainer_endpoint(spec.trainer_id)
-        log = TrainerLog(trainer_id=spec.trainer_id)
-        rt.spawn(f"trainer-{spec.trainer_id}", run_trainer, spec, cfg, endpoint, rt.clock, log)
+        rt.spawn(f"trainer-{spec.trainer_id}", trainer, spec)
     rt.spawn("evaluator", run_evaluator, jobs, results, eval_fn)
     rt.run_all()
     return box["result"]
@@ -427,8 +430,16 @@ def run_on_hub(cfg, registered, specs, train, x, splits):
 
 class TestFailureInjection:
     """A failed trainer is one that never starts. The server waits
-    ``readiness_timeout`` for a registered trainer that never sets ``ready``,
-    then runs the rounds with the others."""
+    ``readiness_timeout`` for a registered trainer whose endpoint never
+    connects, then runs the rounds with the others."""
+
+    def test_connected_lists_the_endpoints_handed_out(self):
+        hub = InProcTransports(SimRuntime(), [0, 1, 2])
+        assert hub.connected() == []
+        hub.trainer_endpoint(2)
+        assert hub.connected() == [2]
+        hub.trainer_endpoint(0)
+        assert hub.connected() == [0, 2]
 
     def test_no_failures_identical_to_plain_run(self):
         train, x, y, splits = make_dataset(seed=8)
@@ -555,11 +566,14 @@ TINY = ModelConfig(in_dim=2, hidden_dim=4, layers=1, decoder_layers=1)
 _TINY_W = init_weights(TINY)
 
 
-def _report_frame(names, tensors):
-    """A WEIGHTS frame from trainer 0 whose checkpoint has TINY's fingerprint
-    but these tensors."""
+_HELLO_0 = _frame(MSG_HELLO, 0)
+
+
+def _report_frame(names=_TINY_W.names, tensors=_TINY_W.tensors, trainer=0):
+    """A WEIGHTS frame from ``trainer`` whose checkpoint has TINY's
+    fingerprint and these tensors."""
     report = struct.pack("<qd", 1, 0.5)
-    return _frame(MSG_WEIGHTS, 0, report + weights_to_bytes(ModelWeights(TINY.fingerprint(), names, tensors)))
+    return _frame(MSG_WEIGHTS, trainer, report + weights_to_bytes(ModelWeights(TINY.fingerprint(), names, tensors)))
 
 
 def _wait_for(condition, timeout=2.0):
@@ -586,7 +600,7 @@ class TestThreadRuntimeAndTcp:
         real_send_frame = transport.send_frame
 
         def counting_send_frame(sock, msg_type, round_t, trainer, payload=b""):
-            frames.append((msg_type, payload))
+            frames.append((threading.current_thread().name, msg_type, trainer, payload))
             real_send_frame(sock, msg_type, round_t, trainer, payload)
 
         monkeypatch.setattr(transport, "send_frame", counting_send_frame)
@@ -610,11 +624,18 @@ class TestThreadRuntimeAndTcp:
         # flags are pushed per round, not polled per step
         assert len(frames) <= 8 * len(specs) * (res.rounds + 2)
         assert len(frames) < sum(log.steps for log in res.trainer_logs.values())
-        # a trainer sets one key, once, and sends one frame per round
-        keys = [payload.partition(b"\x00")[0] for t, payload in frames if t == MSG_KV_SET]
-        assert sorted(k for k in keys if k not in (b"agg", b"stop")) == [b"ready/0", b"ready/1"]
+        # a trainer sends one HELLO, then one WEIGHTS frame per round and no flags
+        by_trainers = [(name, t, i) for name, t, i, _ in frames if name.startswith("trainer-")]
+        hellos = sorted((name, i) for name, t, i in by_trainers if t == MSG_HELLO)
+        assert hellos == [("trainer-0", 0), ("trainer-1", 1)]
+        assert {t for _, t, _ in by_trainers} == {MSG_HELLO, MSG_WEIGHTS}
         sends = sum(len(log.send_rounds) for log in res.trainer_logs.values())
-        assert [t for t, _ in frames].count(MSG_WEIGHTS) == sends
+        assert [t for _, t, _, _ in frames].count(MSG_WEIGHTS) == sends
+        # the server pushes agg up and down once per round, then stop, to both
+        # trainers; it never pushes a flag's initial False
+        pushes = [(name, p) for name, t, _, p in frames if t == MSG_KV_SET]
+        per_round = [b"agg\x00\x01"] * 2 + [b"agg\x00\x00"] * 2
+        assert pushes == [("server", p) for p in per_round * res.rounds + [b"stop\x00\x01"] * 2]
 
     def test_thread_channel_get_times_out(self):
         ch = ThreadChannel()
@@ -637,24 +658,21 @@ class TestThreadRuntimeAndTcp:
     @pytest.mark.parametrize(
         "frames",
         [
-            pytest.param([_frame(MSG_KV_SET, 7, b"ready/7\x00\x01")], id="unknown-trainer"),
-            pytest.param([_frame(MSG_KV_SET, 0, b"ready/0\x00I\x01")], id="short-kv-value"),
-            pytest.param([_frame(MSG_KV_SET, 0, b"\xff\x00\x01")], id="non-utf8-kv-key"),
-            pytest.param([_frame(MSG_WEIGHTS, 0, b"junk")], id="bad-weights"),
-            pytest.param([_frame(99, 0)], id="unknown-frame-type"),
-            pytest.param(
-                [_frame(MSG_KV_SET, 0, b"ready/0\x00\x01"), _frame(MSG_KV_SET, 1, b"ready/1\x00\x01")],
-                id="switches-trainer",
-            ),
             pytest.param([_frame(MSG_KV_SET, 0, b"stop\x00\x01")], id="sets-server-stop"),
-            pytest.param([_frame(MSG_KV_SET, 0, b"ready/1\x00\x01")], id="sets-another-trainers-key"),
-            pytest.param([_frame(MSG_KV_SET, 0, b"steps/0\x00\x01")], id="sets-its-own-steps-key"),
+            pytest.param([_HELLO_0, _frame(MSG_KV_SET, 0, b"agg\x00\x01")], id="hello-then-sets-agg"),
+            pytest.param([_report_frame()], id="weights-before-hello"),
+            pytest.param([_HELLO_0, _HELLO_0], id="second-hello"),
+            pytest.param([_frame(MSG_HELLO, 0, b"\x00")], id="hello-with-payload"),
+            pytest.param([_frame(MSG_HELLO, 7)], id="unknown-trainer"),
+            pytest.param([_HELLO_0, _report_frame(trainer=1)], id="switches-trainer"),
+            pytest.param([_HELLO_0, _frame(MSG_WEIGHTS, 0, b"junk")], id="bad-weights"),
+            pytest.param([_HELLO_0, _frame(99, 0)], id="unknown-frame-type"),
             pytest.param(
-                [_report_frame([n for n in _TINY_W.names if n != "enc0.ln.gain"], _TINY_W.tensors)],
+                [_HELLO_0, _report_frame([n for n in _TINY_W.names if n != "enc0.ln.gain"])],
                 id="wrong-tensors",
             ),
             pytest.param(
-                [_report_frame(_TINY_W.names, {**_TINY_W.tensors, "enc0.ln.gain": np.ones((2, 2))})],
+                [_HELLO_0, _report_frame(tensors={**_TINY_W.tensors, "enc0.ln.gain": np.ones((2, 2))})],
                 id="reshaped-tensor",
             ),
         ],
@@ -668,11 +686,14 @@ class TestThreadRuntimeAndTcp:
             with socket.create_connection(coord.address, timeout=1.0) as peer:
                 peer.sendall(b"".join(frames))
                 assert peer.recv(1) == b""  # EOF within the 1 s timeout
-            # only the claimed trainer (if any) is dropped
+            # only a HELLO claims an id, and only the claimed trainer is dropped
+            claimed = [0] if frames[0] == _HELLO_0 else []
+            assert coord.connected() == claimed
+            for i in claimed:
+                with pytest.raises(ChannelClosed):
+                    coord.recv_weights(i, timeout=1.0)
             with pytest.raises(ChannelTimeout):
                 coord.recv_weights(1, timeout=0.01)
-            assert coord.kv_get("ready/1") is None
-            assert coord.kv_get("stop") is None
         finally:
             coord.close()
             for thread in set(threading.enumerate()) - before:
@@ -684,16 +705,14 @@ class TestThreadRuntimeAndTcp:
         coord = TcpCoordinator([0], TINY)
         first = TcpTrainerEndpoint(coord.address, 0, TINY)
         try:
-            first.kv_set("ready/0", False)
-            _wait_for(lambda: coord.kv_get("ready/0") is False)
+            _wait_for(lambda: coord.connected() == [0])
             with socket.create_connection(coord.address, timeout=1.0) as intruder:
-                intruder.sendall(_frame(MSG_KV_SET, 0, b"ready/0\x00\x01"))
+                intruder.sendall(_HELLO_0)
                 assert intruder.recv(1) == b""
-            assert coord.kv_get("ready/0") is False
             coord.kv_set("agg", True)
             _wait_for(lambda: first.kv_get("agg") is True)
-            first.kv_set("ready/0", True)
-            _wait_for(lambda: coord.kv_get("ready/0") is True)
+            first.send_weights(0, _TINY_W, 1, 0.5)
+            assert coord.recv_weights(0, timeout=2.0)[0] == 0
         finally:
             first.close()
             coord.close()
@@ -702,9 +721,7 @@ class TestThreadRuntimeAndTcp:
         coord = TcpCoordinator([0, 1], TINY)
         eps = [TcpTrainerEndpoint(coord.address, i, TINY) for i in (0, 1)]
         try:
-            for ep in eps:
-                ep.kv_set(f"ready/{ep.trainer_id}", True)
-            _wait_for(lambda: coord.kv_get("ready/0") and coord.kv_get("ready/1"))
+            _wait_for(lambda: coord.connected() == [0, 1])
             eps[0].close()
             with pytest.raises(ChannelClosed):
                 coord.recv_weights(0, timeout=1.0)
@@ -744,7 +761,6 @@ class TestThreadRuntimeAndTcp:
         try:
             for thread in [server, *others]:
                 thread.start()
-            dying.kv_set("ready/0", True)
             assert dying.recv_global(timeout=2.0)[0] == 0
             _wait_for(lambda: dying.kv_get("agg") is True)
             dying.send_weights(0, w, 0, math.nan)
@@ -769,8 +785,6 @@ class TestThreadRuntimeAndTcp:
                 assert np.array_equal(got[name], tensor.astype(np.float32))
             # flags are booleans; anything else is refused before it is sent
             with pytest.raises(TransportError, match="bool"):
-                ep.kv_set("ready/0", 1)
-            with pytest.raises(TransportError, match="bool"):
                 coord.kv_set("agg", None)
         finally:
             ep.close()
@@ -780,8 +794,7 @@ class TestThreadRuntimeAndTcp:
         coord = TcpCoordinator([0], TINY)
         ep = TcpTrainerEndpoint(coord.address, 0, TINY)
         try:
-            ep.kv_set("ready/0", True)
-            _wait_for(lambda: coord.kv_get("ready/0"))
+            _wait_for(lambda: coord.connected() == [0])
             coord.kv_set("stop", False)
             _wait_for(lambda: ep.kv_get("stop") is False)
             coord.close()
@@ -808,6 +821,7 @@ class TestThreadRuntimeAndTcp:
             server, _ = listener.accept()
             with server:
                 server.settimeout(1.0)
+                assert recv_frame(server) == (MSG_HELLO, 0, 0, b"")
                 server.sendall(frame)
                 assert server.recv(1) == b""
             assert ep.kv_get("stop") is True
@@ -825,6 +839,12 @@ class TestThreadRuntimeAndTcp:
         )
         with pytest.raises(ProtocolError):
             run_training(cfg, specs, train, x, splits, runtime="sim", transport="tcp")
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan])
+def test_readiness_timeout_must_be_positive(timeout):
+    with pytest.raises(ProtocolError, match="readiness_timeout"):
+        RunConfig(model=TINY, train_budget=2.0, agg_interval=1.0, readiness_timeout=timeout)
 
 
 def test_config_validation():
