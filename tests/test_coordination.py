@@ -660,6 +660,14 @@ class TestThreadRuntimeAndTcp:
         [
             pytest.param([_frame(MSG_KV_SET, 0, b"stop\x00\x01")], id="sets-server-stop"),
             pytest.param([_HELLO_0, _frame(MSG_KV_SET, 0, b"agg\x00\x01")], id="hello-then-sets-agg"),
+            # KV_SET is server-to-trainer only: a claimed trainer's KV_SET is
+            # refused by frame type, whatever its payload
+            pytest.param([_HELLO_0, _frame(MSG_KV_SET, 0, b"ready/0\x00I\x01")], id="short-kv-value"),
+            pytest.param([_HELLO_0, _frame(MSG_KV_SET, 0, b"\xff\x00\x01")], id="non-utf8-kv-key"),
+            pytest.param(
+                [_HELLO_0, _frame(MSG_KV_SET, 0, b"ready/1\x00\x01")], id="sets-another-trainers-key"
+            ),
+            pytest.param([_HELLO_0, _frame(MSG_KV_SET, 0, b"steps/0\x00\x01")], id="sets-its-own-steps-key"),
             pytest.param([_report_frame()], id="weights-before-hello"),
             pytest.param([_HELLO_0, _HELLO_0], id="second-hello"),
             pytest.param([_frame(MSG_HELLO, 0, b"\x00")], id="hello-with-payload"),
