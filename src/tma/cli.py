@@ -25,9 +25,8 @@ from .config import ConfigError, ExperimentConfig
 from .coordination import ProtocolError, RunConfig, TrainerSpec, run_training
 from .evaluate import evaluate
 from .graph import GraphError, build_splits, generate_synthetic
-from .nn import ModelConfig, NnError, load_weights, save_weights
+from .nn import ModelConfig
 from .partition import (
-    PartitionError,
     induce_subgraphs,
     partition_min_cut,
     partition_random_node,
@@ -233,7 +232,7 @@ def cmd_train(args) -> int:
     if args.metrics:
         write_metrics_csv(args.metrics, cfg, result)
     if args.save_weights:
-        save_weights(result.best_weights, args.save_weights)
+        fileio.save_weights(result.best_weights, args.save_weights)
     print(
         f"mode={cfg.mode} scheme={cfg.scheme} rounds={result.rounds} "
         f"best_round={result.best_round} val_mrr={result.best_val_mrr:.4f} "
@@ -249,7 +248,7 @@ def cmd_eval(args) -> int:
     splits = fileio.load_splits(args.splits)
     _check_same_graph(graph, features, splits)
     model = build_model_config(cfg, features.shape[1])
-    weights = load_weights(args.weights, model)
+    weights = fileio.load_weights(args.weights, model)
     res = evaluate(weights, model, graph, features, splits, args.split)
     print(f"split={args.split} mrr={res.mrr:.6f} positives={len(res.reciprocal_ranks)}")
     return 0
@@ -330,6 +329,8 @@ def cmd_theory_check(args) -> int:
 
 def cmd_failure_sweep(args) -> int:
     cfg = _config_from_args(args)
+    if cfg.fail_ids:
+        raise ConfigError("failure-sweep picks the failed trainers itself; fail_ids must be empty")
     if not 1 <= args.fail_count < cfg.trainers:
         raise ConfigError(f"fail_count must be in [1, trainers - 1 = {cfg.trainers - 1}]")
     train_graph, features, splits, specs = _load_training_inputs(args, cfg)
@@ -450,7 +451,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, GraphError, PartitionError, NnError, ProtocolError, ValueError, OSError) as exc:
+    except (ProtocolError, ValueError, OSError) as exc:  # every input and model error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

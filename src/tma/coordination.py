@@ -99,7 +99,6 @@ class TrainerLog:
     trainer_id: int
     steps: int = 0
     loss_ema: float = math.nan
-    degenerate: bool = False
     step_times: list = field(default_factory=list)
     send_rounds: list = field(default_factory=list)  # (round, wall time)
     stop_seen_at: float = math.nan
@@ -302,7 +301,6 @@ def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: Trainer
     sub = spec.subgraph
     rng = np.random.default_rng(spec.seed)
     degenerate = sub.num_edges == 0 or sub.num_nodes < 2
-    log.degenerate = degenerate
     features = sub.features
 
     try:

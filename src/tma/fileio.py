@@ -1,17 +1,23 @@
-"""On-disk formats for graphs, features, labels, splits, and partitions.
+"""Byte formats for graphs, features, labels, splits, partitions, and
+model weights.
 
 All formats are little-endian with a 4-byte magic. Loaders validate
-structure on the way in and report the byte offset of the first offending
-record on truncated or malformed input.
+structure on the way in, reject trailing bytes, and report the byte offset
+of the first offending record on truncated or malformed input. The weight
+checkpoint is both a file (``tma train --save-weights``) and the payload of
+the TCP transport's weight frames, so its parser takes bytes as well as
+paths; either way a malformed checkpoint raises ``ParseError``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
 
 from .graph import EdgeSplits, Graph, GraphError, NodeLabels
+from .nn import ModelConfig, ModelWeights
 from .partition import Partition
 
 GRAPH_MAGIC = b"TMAG"
@@ -19,6 +25,7 @@ FEATURES_MAGIC = b"TMAF"
 LABELS_MAGIC = b"TMAL"
 SPLITS_MAGIC = b"TMAS"
 PARTITION_MAGIC = b"TMAP"
+WEIGHTS_MAGIC = b"TMAW"
 FORMAT_VERSION = 1
 
 
@@ -27,15 +34,17 @@ class ParseError(GraphError):
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
+    """Bounded reads over one artifact's bytes; ``source`` names it in errors."""
+
+    def __init__(self, data: bytes, source):
         self.view = memoryview(data)
         self.off = 0
-        self.path = path
+        self.source = source
 
     def take(self, n: int, what: str) -> memoryview:
         if self.off + n > len(self.view):
             raise ParseError(
-                f"{self.path}: truncated at byte {self.off} while reading {what}"
+                f"{self.source}: truncated at byte {self.off} while reading {what}"
             )
         chunk = self.view[self.off : self.off + n]
         self.off += n
@@ -53,11 +62,11 @@ class _Reader:
     def expect_magic(self, magic: bytes):
         got = bytes(self.take(4, "magic"))
         if got != magic:
-            raise ParseError(f"{self.path}: bad magic {got!r}, expected {magic!r}")
+            raise ParseError(f"{self.source}: bad magic {got!r}, expected {magic!r}")
 
     def expect_end(self):
         if self.off != len(self.view):
-            raise ParseError(f"{self.path}: {len(self.view) - self.off} trailing bytes at {self.off}")
+            raise ParseError(f"{self.source}: {len(self.view) - self.off} trailing bytes at {self.off}")
 
 
 def _read(path) -> bytes:
@@ -195,3 +204,58 @@ def load_partition(path) -> Partition:
         bad = int(np.argmax(assignment >= m))
         raise ParseError(f"{path}: trainer id out of range in record {bad}")
     return Partition(assignment=assignment, num_trainers=m)
+
+
+# --- weight checkpoint ("TMAW") -------------------------------------------
+
+
+def _fingerprint_digest(fingerprint: str) -> bytes:
+    return hashlib.blake2b(fingerprint.encode(), digest_size=16).digest()
+
+
+def weights_to_bytes(w: ModelWeights) -> bytes:
+    digest = _fingerprint_digest(w.fingerprint)
+    parts = [WEIGHTS_MAGIC, struct.pack("<H16sI", FORMAT_VERSION, digest, len(w.names))]
+    for name, tensor in w.items():
+        enc = name.encode()
+        header = f"<H{len(enc)}sB{tensor.ndim}Q"
+        parts.append(struct.pack(header, len(enc), enc, tensor.ndim, *tensor.shape))
+        parts.append(tensor.astype("<f4").tobytes())
+    return b"".join(parts)
+
+
+def weights_from_bytes(data: bytes, cfg: ModelConfig, source="weight checkpoint") -> ModelWeights:
+    """Parse a checkpoint of ``cfg``'s model: its fingerprint digest and every
+    tensor's name and shape must match the model's."""
+    r = _Reader(data, source)
+    r.expect_magic(WEIGHTS_MAGIC)
+    version, digest, count = r.unpack("<H16sI", "header")
+    if version != FORMAT_VERSION:
+        raise ParseError(f"{source}: unsupported version {version}")
+    fingerprint = cfg.fingerprint()
+    if digest != _fingerprint_digest(fingerprint):
+        raise ParseError(f"{source}: fingerprint does not match the model config")
+    layout = cfg.layout()
+    if count != len(layout):
+        raise ParseError(f"{source}: {count} tensors, the model has {len(layout)}")
+    tensors: dict[str, np.ndarray] = {}
+    for want in layout:
+        (name_len,) = r.unpack("<H", "name length")
+        name = bytes(r.take(name_len, "name")).decode(errors="replace")
+        (rank,) = r.unpack("<B", "rank")
+        shape = r.unpack(f"<{rank}Q", "shape")
+        if (name, shape) != want:
+            raise ParseError(f"{source}: tensor {name[:64]!r} {shape[:8]} is not the model's {want}")
+        raw = r.array("<f4", int(np.prod(shape)), f"tensor {name}")
+        tensors[name] = raw.astype(np.float64).reshape(shape)
+    r.expect_end()
+    return ModelWeights(fingerprint=fingerprint, names=list(tensors), tensors=tensors)
+
+
+def save_weights(w: ModelWeights, path) -> None:
+    with open(path, "wb") as f:
+        f.write(weights_to_bytes(w))
+
+
+def load_weights(path, cfg: ModelConfig) -> ModelWeights:
+    return weights_from_bytes(_read(path), cfg, f"weight checkpoint {path}")

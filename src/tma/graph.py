@@ -66,11 +66,6 @@ class Graph:
         keep = src < dst
         return np.column_stack([src[keep], dst[keep]])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
-
     def validate(self) -> None:
         """Check all structural invariants; raise GraphError on the first failure."""
         n = self.num_nodes
@@ -166,12 +161,6 @@ class CompatibilityMatrix:
 
     def entry(self, a: int, b: int) -> float:
         return self.h if a == b else (1.0 - self.h) / (self.k - 1)
-
-    def matrix(self) -> np.ndarray:
-        off = (1.0 - self.h) / (self.k - 1)
-        m = np.full((self.k, self.k), off)
-        np.fill_diagonal(m, self.h)
-        return m
 
     @property
     def max_entry(self) -> float:
@@ -312,17 +301,6 @@ def _triangular_decode(t: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
         i = i - too_high.astype(np.int64) + too_low.astype(np.int64)
     j = i + 1 + (t - cum(i))
     return i, j
-
-
-def measure_homophily(g: Graph, y: NodeLabels) -> float:
-    """Fraction of undirected edges whose endpoints share a class label."""
-    if len(y.labels) != g.num_nodes:
-        raise GraphError("labels do not cover all nodes")
-    if g.num_edges == 0:
-        raise GraphError("undefined homophily: empty edge set")
-    e = g.edge_array()
-    same = y.labels[e[:, 0]] == y.labels[e[:, 1]]
-    return float(np.mean(same))
 
 
 def build_splits(

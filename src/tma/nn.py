@@ -5,13 +5,11 @@ training stack is deterministic given seeds and checkable against finite
 differences. Neighborhood aggregation is a sparse linear operator from
 source rows to destination rows (``scipy.sparse`` CSR), so its backward
 pass is the product with its transpose. Weights are float64 in memory; the
-checkpoint format stores float32.
+checkpoint format (``fileio.weights_to_bytes``) stores float32.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,14 +271,9 @@ def encode_backward(cfg: ModelConfig, w: ModelWeights, tape, grad_emb: np.ndarra
     return grad
 
 
-def encode(cfg: ModelConfig, w: ModelWeights, g_or_blocks, x: np.ndarray) -> np.ndarray:
-    """Node embeddings for a full graph or a sampled message-flow structure."""
-    blocks = (
-        full_graph_blocks(g_or_blocks, cfg.layers)
-        if isinstance(g_or_blocks, Graph)
-        else list(g_or_blocks)
-    )
-    emb, _ = encode_with_tape(cfg, w, blocks, x)
+def encode(cfg: ModelConfig, w: ModelWeights, g: Graph, x: np.ndarray) -> np.ndarray:
+    """Embeddings of every node of a full graph."""
+    emb, _ = encode_with_tape(cfg, w, full_graph_blocks(g, cfg.layers), x)
     return emb
 
 
@@ -365,17 +358,6 @@ def _sigmoid(x):
 # theory model: 1-layer linear GCN, plain neighbor mean, sigmoid output
 
 
-def theory_forward(weight: np.ndarray, indptr: np.ndarray, nbr: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sigmoid(mean-neighbor-features @ weight) per destination row.
-
-    ``weight`` has shape (in_dim, 1). The adjacency view may be asymmetric
-    (used for hypothetical partition placements); rows with no neighbors
-    aggregate to zero.
-    """
-    agg = _neighbor_mean(indptr, nbr, x.shape[0]) @ np.asarray(x, dtype=np.float64)
-    return _sigmoid(agg @ weight)[:, 0]
-
-
 def theory_mean_gradient(
     weight: np.ndarray,
     indptr: np.ndarray,
@@ -384,10 +366,13 @@ def theory_mean_gradient(
     targets: np.ndarray,
     rows: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Mean over ``rows`` of the per-node L2-loss gradient w.r.t. the weight vector.
+    """Mean L2 loss over ``rows`` and its gradient w.r.t. the weight vector.
 
-    The mean per-node gradient equals one backward pass of the batch-mean
-    loss, because the loss is additive over nodes.
+    The model output is sigmoid(mean-neighbor-features @ weight), with
+    ``weight`` of shape (in_dim, 1). The adjacency view may be asymmetric
+    (used for hypothetical partition placements); rows with no neighbors
+    aggregate to zero. The mean per-node gradient equals one backward pass
+    of the batch-mean loss, because the loss is additive over nodes.
     """
     agg = _neighbor_mean(indptr, nbr, x.shape[0])[rows] @ np.asarray(x, dtype=np.float64)
     z = _sigmoid(agg @ weight)[:, 0]
@@ -496,77 +481,3 @@ def link_step(
     loss, grads = link_loss_and_grads(cfg, w, blocks, x_input, pos_u, pos_v, labels)
     adam_step(opt, w, grads, cfg.lr)
     return loss
-
-
-# ---------------------------------------------------------------------------
-# weight checkpoint format ("TMAW")
-
-_WEIGHTS_MAGIC = b"TMAW"
-_WEIGHTS_VERSION = 1
-
-
-def weights_to_bytes(w: ModelWeights) -> bytes:
-    digest = hashlib.blake2b(w.fingerprint.encode(), digest_size=16).digest()
-    parts = [_WEIGHTS_MAGIC, struct.pack("<H", _WEIGHTS_VERSION), digest]
-    parts.append(struct.pack("<I", len(w.names)))
-    for name, tensor in w.items():
-        enc = name.encode()
-        parts.append(struct.pack("<H", len(enc)))
-        parts.append(enc)
-        parts.append(struct.pack("<B", tensor.ndim))
-        parts.append(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
-        parts.append(tensor.astype("<f4").tobytes())
-    return b"".join(parts)
-
-
-def weights_from_bytes(data: bytes, cfg: ModelConfig) -> ModelWeights:
-    """Parse a checkpoint of ``cfg``'s model: its fingerprint digest and every
-    tensor's name and shape must match the model's."""
-    view = memoryview(data)
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(view):
-            raise NnError(f"truncated weights at byte {off} reading {what}")
-        chunk = view[off : off + n]
-        off += n
-        return chunk
-
-    if bytes(take(4, "magic")) != _WEIGHTS_MAGIC:
-        raise NnError("bad magic in weight checkpoint")
-    (version,) = struct.unpack("<H", take(2, "version"))
-    if version != _WEIGHTS_VERSION:
-        raise NnError(f"unsupported weight version {version}")
-    fingerprint = cfg.fingerprint()
-    digest = bytes(take(16, "fingerprint"))
-    expect = hashlib.blake2b(fingerprint.encode(), digest_size=16).digest()
-    if digest != expect:
-        raise NnError("weight checkpoint fingerprint does not match model config")
-    layout = cfg.layout()
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
-    if count != len(layout):
-        raise NnError(f"weight checkpoint has {count} tensors, the model {len(layout)}")
-    tensors: dict[str, np.ndarray] = {}
-    for want in layout:
-        (nlen,) = struct.unpack("<H", take(2, "name length"))
-        name = bytes(take(nlen, "name")).decode()
-        (rank,) = struct.unpack("<B", take(1, "rank"))
-        shape = struct.unpack(f"<{rank}Q", take(8 * rank, "shape"))
-        if (name, shape) != want:
-            raise NnError(
-                f"weight checkpoint tensor {name[:64]!r} {shape[:8]} is not the model's {want}"
-            )
-        raw = take(4 * int(np.prod(shape)), f"tensor {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-    return ModelWeights(fingerprint=fingerprint, names=list(tensors), tensors=tensors)
-
-
-def save_weights(w: ModelWeights, path) -> None:
-    with open(path, "wb") as f:
-        f.write(weights_to_bytes(w))
-
-
-def load_weights(path, cfg: ModelConfig) -> ModelWeights:
-    with open(path, "rb") as f:
-        return weights_from_bytes(f.read(), cfg)

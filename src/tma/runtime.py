@@ -1,7 +1,9 @@
 """Execution runtimes for the coordination protocol.
 
-The protocol code is written against three tiny abstractions: a clock, a
-duplex channel, and a key-value store. Two runtimes provide them:
+The protocol code is written against two tiny abstractions: a clock and a
+one-way channel (``put``, ``get`` with an optional timeout, ``close``).
+The flag store the server and trainers share belongs to the transports
+(``transport.KvStore``). Two runtimes provide the clock and the channels:
 
 * ``ThreadRuntime`` - real threads, monotonic wall clock, queue-backed
   channels. What production runs use. While its actors run, numpy's
@@ -50,24 +52,6 @@ class DeadlockError(RuntimeError):
 
 class SimAborted(RuntimeError):
     """Raised inside actors when the simulation is torn down by an error."""
-
-
-class KvStore:
-    """Boolean flag store: ``agg`` and ``stop``, written only by the server.
-    The in-process endpoints share one; over TCP each trainer holds its own,
-    and the server pushes the flags it sets to every trainer's copy."""
-
-    def __init__(self):
-        self._data: dict[str, object] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: str):
-        with self._lock:
-            return self._data.get(key)
-
-    def set(self, key: str, value) -> None:
-        with self._lock:
-            self._data[key] = value
 
 
 # ---------------------------------------------------------------------------

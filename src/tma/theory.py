@@ -33,16 +33,15 @@ class TheoryError(ValueError):
 class TwoClassSetup:
     """Two equal classes, two equal partitions, class-0 fraction beta on partition 1.
 
-    ``c_norm`` is the link-model normalization constant; under equal class
-    sizes it equals eta. The per-pair Bernoulli generator maps onto it via
-    the pair probability scale q: an expected cut of lambda in these units
-    corresponds to q * c_norm * lambda generated edges.
+    The link model's normalization constant equals eta under equal class
+    sizes. The per-pair Bernoulli generator maps onto it via the pair
+    probability scale q: an expected cut of lambda in these units
+    corresponds to q * eta * lambda generated edges.
     """
 
     beta: float
     h: float
     eta: int
-    c_norm: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -51,10 +50,6 @@ class TwoClassSetup:
             raise TheoryError("h must be in [0, 1]")
         if self.eta < 1:
             raise TheoryError("eta must be positive")
-        if self.c_norm is None:
-            object.__setattr__(self, "c_norm", float(self.eta))
-        if self.c_norm <= 0:
-            raise TheoryError("normalization constant must be positive")
 
     @property
     def num_nodes(self) -> int:
@@ -64,7 +59,7 @@ class TwoClassSetup:
 def expected_edge_cut(s: TwoClassSetup) -> float:
     """Expected cross-partition edge count, in link-model units."""
     b, h = s.beta, s.h
-    return (1.0 - 2.0 * (1.0 - b) * b - (2.0 * b - 1.0) ** 2 * h) * s.eta**2 / s.c_norm
+    return (1.0 - 2.0 * (1.0 - b) * b - (2.0 * b - 1.0) ** 2 * h) * s.eta
 
 
 def argmin_edge_cut_beta(h: float) -> float:
@@ -159,7 +154,7 @@ def label_aligned_partition(y: NodeLabels, beta: float) -> Partition:
 def predicted_generator_cut(s: TwoClassSetup, mean_degree: float) -> float:
     """Expected cross-partition edges of the Bernoulli generator for this setup."""
     q = pair_probability_scale(s.num_nodes, mean_degree, s.h, 2)
-    return expected_edge_cut(s) * q * s.c_norm
+    return expected_edge_cut(s) * q * s.eta
 
 
 def empirical_edge_cut(g: Graph, p: Partition) -> int:

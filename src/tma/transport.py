@@ -15,7 +15,7 @@ Wire frame: {frame_len u32, msg_type u8, round u32, trainer u16, payload},
 little-endian; frame_len counts everything after itself.
 - trainer -> server: one empty HELLO, which claims the frame's trainer id,
   then only WEIGHTS for that id: ``steps i64, loss f64`` (the report), then
-  the weight checkpoint bytes of ``nn.weights_to_bytes``.
+  the weight checkpoint bytes of ``fileio.weights_to_bytes``.
 - server -> trainer: KV_SET, ``key \x00 flag`` with the flag one byte, 0 or
   1 (``agg``, ``stop``, pushed to every connected trainer); GLOBAL_WEIGHTS,
   the checkpoint bytes alone.
@@ -25,7 +25,8 @@ and one reader per connection keep order, so a trainer applies
 ``agg=False`` before the GLOBAL_WEIGHTS frame sent after it; when the
 server's stream ends, the trainer's ``stop`` reads True. A peer that sends
 an undecodable frame, a frame outside its direction's grammar, or weights
-whose tensors are not the model's, is hung up on.
+the checkpoint parser rejects (``fileio.ParseError``: not the model's
+tensors, or bytes after them), is hung up on.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ import socket
 import struct
 import threading
 
-from .nn import ModelConfig, ModelWeights, weights_from_bytes, weights_to_bytes
-from .runtime import ChannelClosed, KvStore, ThreadChannel
+from .fileio import weights_from_bytes, weights_to_bytes
+from .nn import ModelConfig, ModelWeights
+from .runtime import ChannelClosed, ThreadChannel
 
 MSG_WEIGHTS = 2
 MSG_GLOBAL_WEIGHTS = 3
@@ -51,6 +53,24 @@ CONNECT_TIMEOUT_S = 10.0
 
 class TransportError(RuntimeError):
     pass
+
+
+class KvStore:
+    """Boolean flag store: ``agg`` and ``stop``, written only by the server.
+    The in-process endpoints share one; over TCP each trainer holds its own,
+    and the server pushes the flags it sets to every trainer's copy."""
+
+    def __init__(self):
+        self._data: dict[str, object] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: str):
+        with self._lock:
+            return self._data.get(key)
+
+    def set(self, key: str, value) -> None:
+        with self._lock:
+            self._data[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +148,7 @@ def _decode_kv(payload: bytes) -> tuple[str, bool]:
     return key.decode(), value == b"\x01"  # UnicodeDecodeError is a ValueError
 
 
-# ends a reader loop: EOF, a dead socket, or an undecodable frame (NnError is a ValueError)
+# ends a reader loop: EOF, a dead socket, or an undecodable frame (ParseError is a ValueError)
 _STREAM_ENDS = (ChannelClosed, OSError, TransportError, ValueError)
 
 

@@ -11,7 +11,8 @@ from tma import cli, fileio
 from tma.cli import build_model_config, convergence_time, main
 from tma.config import ConfigError, ExperimentConfig
 from tma.coordination import MetricsRecord, ProtocolError
-from tma.nn import init_weights, save_weights
+from tma.fileio import save_weights
+from tma.nn import init_weights
 
 
 def run_cli(args):
@@ -200,6 +201,23 @@ class TestFailureSweep:
         assert rc == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: fail_count must be in [1, trainers - 1 = 1]")
+        assert "\n" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config-file"])
+    def test_fail_ids_rejected_single_line(self, tmp_path, small_cfg, dataset, capsys, source):
+        # the sweep chooses which trainers fail; a fail_ids it would ignore is an error
+        if source == "flag":
+            extra = ["--fail-ids", "0"]
+        else:
+            small_cfg.write_text(small_cfg.read_text() + "\nfail_ids = 0\n")
+            extra = []
+        out = tmp_path / "sweep.csv"
+        rc = run_cli(["failure-sweep", "--config", str(small_cfg), *_inputs(dataset),
+                      *extra, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: failure-sweep picks the failed trainers itself")
         assert "\n" not in err
         assert not out.exists()
 

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from tma import coordination
 from tma.coordination import (
     ProtocolError,
     RunConfig,
@@ -19,7 +20,8 @@ from tma.coordination import (
 )
 from tma.evaluate import evaluate
 from tma.graph import build_splits, generate_synthetic
-from tma.nn import ModelConfig, ModelWeights, init_weights, weights_to_bytes
+from tma.fileio import weights_to_bytes
+from tma.nn import ModelConfig, ModelWeights, init_weights
 from tma.partition import induce_subgraphs, partition_random_node
 from tma.runtime import (
     ChannelClosed,
@@ -259,6 +261,48 @@ def small_model(x, seed=0):
     return ModelConfig(in_dim=x.shape[1], encoder="gcn", layers=2, hidden_dim=8, seed=seed)
 
 
+class _TickClock:
+    def __init__(self):
+        self.t = 0.0
+
+    def now(self):
+        self.t += 1.0
+        return self.t
+
+
+class TestRounds:
+    def test_round_closed_at_the_eval_queue_limit_stays_unscored(self, monkeypatch):
+        monkeypatch.setattr(coordination, "EVAL_QUEUE_LIMIT", 2)
+        # round 3 would score best, had it been evaluated
+        scores = {("val", 1): 0.3, ("val", 2): 0.5, ("val", 3): 0.9, ("val", 4): 0.4,
+                  ("test", 2): 0.45}
+        evaluated = []
+
+        def eval_fn(weights, split, round_t):
+            evaluated.append((split, round_t))
+            return scores.get((split, round_t), 0.0)
+
+        jobs, results = ThreadChannel(), ThreadChannel()
+        evaluator = threading.Thread(target=run_evaluator, args=(jobs, results, eval_fn))
+        evaluator.start()
+        try:
+            book = coordination._Rounds(_TickClock(), _TINY_W, jobs, results)
+            for _ in range(3):  # the third close finds two evaluations in flight
+                book.close(_TINY_W, {0: 1}, {0: 0.5})
+            book.drain({("val", 1), ("val", 2)})
+            book.close(_TINY_W, {0: 2}, {0: 0.5})  # room again after the drain
+            res = book.finish([0], {0: 2}, {0: 0.5}, {})
+        finally:
+            jobs.close()
+            evaluator.join(5.0)
+        assert not evaluator.is_alive()
+        assert evaluated == [("val", 1), ("val", 2), ("val", 4), ("test", 2)]
+        val = {r.round: r.mrr for r in res.metrics if r.split == "val"}
+        assert math.isnan(val.pop(3))
+        assert val == {1: 0.3, 2: 0.5, 4: 0.4}
+        assert (res.rounds, res.best_round, res.best_val_mrr, res.test_mrr) == (4, 2, 0.5, 0.45)
+
+
 class TestTmaProtocol:
     def test_round_count_matches_schedule(self):
         train, x, y, splits = make_dataset()
@@ -393,7 +437,6 @@ class TestTmaProtocol:
         res = run_training(cfg, specs, train, x, splits)
         assert res.rounds >= 2
         assert res.trainer_logs[1].steps == 0
-        assert res.trainer_logs[1].degenerate
         assert len(res.trainer_logs[1].send_rounds) == res.rounds
 
 
@@ -569,11 +612,12 @@ _TINY_W = init_weights(TINY)
 _HELLO_0 = _frame(MSG_HELLO, 0)
 
 
-def _report_frame(names=_TINY_W.names, tensors=_TINY_W.tensors, trainer=0):
+def _report_frame(names=_TINY_W.names, tensors=_TINY_W.tensors, trainer=0, trailing=b""):
     """A WEIGHTS frame from ``trainer`` whose checkpoint has TINY's
-    fingerprint and these tensors."""
+    fingerprint and these tensors, followed by ``trailing``."""
     report = struct.pack("<qd", 1, 0.5)
-    return _frame(MSG_WEIGHTS, trainer, report + weights_to_bytes(ModelWeights(TINY.fingerprint(), names, tensors)))
+    checkpoint = weights_to_bytes(ModelWeights(TINY.fingerprint(), names, tensors))
+    return _frame(MSG_WEIGHTS, trainer, report + checkpoint + trailing)
 
 
 def _wait_for(condition, timeout=2.0):
@@ -683,6 +727,7 @@ class TestThreadRuntimeAndTcp:
                 [_HELLO_0, _report_frame(tensors={**_TINY_W.tensors, "enc0.ln.gain": np.ones((2, 2))})],
                 id="reshaped-tensor",
             ),
+            pytest.param([_HELLO_0, _report_frame(trailing=b"junk" * 1000)], id="trailing-bytes"),
         ],
     )
     def test_bad_trainer_peer_is_hung_up_on(self, monkeypatch, frames):
@@ -818,6 +863,10 @@ class TestThreadRuntimeAndTcp:
         [
             pytest.param(_frame(MSG_KV_SET, 0, b"agg\x00F\x00"), id="short-kv-value"),
             pytest.param(_frame(transport.MSG_GLOBAL_WEIGHTS, 0, b"junk"), id="bad-weights"),
+            pytest.param(
+                _frame(transport.MSG_GLOBAL_WEIGHTS, 0, weights_to_bytes(_TINY_W) + b"junk"),
+                id="trailing-bytes",
+            ),
             pytest.param(_frame(MSG_WEIGHTS, 0), id="unexpected-frame-type"),
         ],
     )

@@ -1,7 +1,11 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from tma import nn
+from tma.fileio import ParseError, weights_from_bytes, weights_to_bytes
 from tma.graph import Graph, generate_synthetic
 from tma.nn import (
     AdamState,
@@ -16,9 +20,6 @@ from tma.nn import (
     link_loss_and_grads,
     loss_bce,
     loss_l2,
-    theory_forward,
-    weights_from_bytes,
-    weights_to_bytes,
     zero_grads,
 )
 from tma.sampling import build_mfg
@@ -89,10 +90,22 @@ def test_mlp_is_graph_agnostic():
     assert np.array_equal(encode(cfg, w, g, x), encode(cfg, w, empty, x))
 
 
+def theory_row_loss(weight, g, x, row):
+    """The theory model's L2 loss on one node against target 0: 0.5 * output**2."""
+    rows = np.array([row])
+    loss, _ = nn.theory_mean_gradient(weight, g.indptr, g.indices, x, np.zeros(g.num_nodes), rows)
+    return loss
+
+
 def test_theory_mode_zero_weights_outputs_half():
     g, x = random_graph(seed=2)
-    out = theory_forward(np.zeros((x.shape[1], 1)), g.indptr, g.indices, x)
-    assert np.all(out == 0.5)
+    rows = np.arange(g.num_nodes)
+    # every output is sigmoid(0) = 0.5, so the loss against target 0.5 is exactly 0
+    loss, grad = nn.theory_mean_gradient(
+        np.zeros((x.shape[1], 1)), g.indptr, g.indices, x, np.full(g.num_nodes, 0.5), rows
+    )
+    assert loss == 0.0
+    assert np.all(grad == 0.0)
 
 
 def test_theory_forward_is_plain_neighbor_mean():
@@ -113,8 +126,9 @@ def test_theory_forward_is_plain_neighbor_mean():
         ),
     ]
     for g, x, weight, pre in cases:
-        out = theory_forward(weight, g.indptr, g.indices, x)
-        assert np.allclose(out, 1.0 / (1.0 + np.exp(-np.array(pre))))
+        for row, p in enumerate(pre):
+            out = 1.0 / (1.0 + np.exp(-p))
+            assert theory_row_loss(weight, g, x, row) == pytest.approx(0.5 * out**2, rel=1e-12)
 
 
 class TestDecoder:
@@ -229,6 +243,9 @@ def test_theory_gradient_matches_finite_differences():
     targets = (np.arange(g.num_nodes) % 2).astype(float)
     rows = np.arange(g.num_nodes)
 
+    def loss_at(weight):
+        return nn.theory_mean_gradient(weight, g.indptr, g.indices, x, targets, rows)[0]
+
     _, grad = nn.theory_mean_gradient(w, g.indptr, g.indices, x, targets, rows)
 
     eps = 1e-5
@@ -236,11 +253,9 @@ def test_theory_gradient_matches_finite_differences():
     for i in range(grad.size):
         orig = w.reshape(-1)[i]
         w.reshape(-1)[i] = orig + eps
-        zp = theory_forward(w, g.indptr, g.indices, x)
-        lp, _ = loss_l2(zp[rows], targets[rows])
+        lp = loss_at(w)
         w.reshape(-1)[i] = orig - eps
-        zm = theory_forward(w, g.indptr, g.indices, x)
-        lm, _ = loss_l2(zm[rows], targets[rows])
+        lm = loss_at(w)
         w.reshape(-1)[i] = orig
         num.reshape(-1)[i] = (lp - lm) / (2 * eps)
     assert relative_gap(grad, num) < 1e-5
@@ -323,6 +338,10 @@ class TestAggregateAverage:
 
 
 class TestCheckpoint:
+    """The weight checkpoint format of ``fileio``, round-tripping this module's weights."""
+
+    CFG = ModelConfig(in_dim=3, encoder="gcn", layers=1, hidden_dim=4, seed=1)
+
     def test_roundtrip_to_f32(self):
         cfg = ModelConfig(in_dim=3, encoder="gcn", layers=2, hidden_dim=4, seed=1)
         w = init_weights(cfg)
@@ -331,18 +350,54 @@ class TestCheckpoint:
         for n, t in w.items():
             assert np.array_equal(out[n], t.astype(np.float32).astype(np.float64))
 
-    def test_truncated_raises_with_offset(self):
-        cfg = ModelConfig(in_dim=3, encoder="gcn", layers=1, hidden_dim=4, seed=1)
+    def test_bytes_are_pinned(self):
+        # checkpoints written before the format moved into fileio must still load
+        cfg = ModelConfig(in_dim=3, encoder="sage", layers=2, hidden_dim=4, decoder_layers=2, seed=1)
         data = weights_to_bytes(init_weights(cfg))
-        with pytest.raises(nn.NnError, match="byte"):
-            weights_from_bytes(data[: len(data) - 5], cfg)
+        assert len(data) == 681
+        assert data[:6] == b"TMAW\x01\x00"
+        assert hashlib.sha256(data).hexdigest() == (
+            "f73c682138babb49af94b1e0cfce5874e49876502594992650f454af7ff3bff8"
+        )
+
+    def test_truncated_raises_with_offset(self):
+        data = weights_to_bytes(init_weights(self.CFG))
+        with pytest.raises(ParseError, match="byte"):
+            weights_from_bytes(data[: len(data) - 5], self.CFG)
+
+    def test_trailing_bytes_rejected(self):
+        data = weights_to_bytes(init_weights(self.CFG))
+        with pytest.raises(ParseError, match="4000 trailing bytes"):
+            weights_from_bytes(data + b"junk" * 1000, self.CFG)
+
+    def test_bad_magic_rejected(self):
+        data = weights_to_bytes(init_weights(self.CFG))
+        with pytest.raises(ParseError, match="magic"):
+            weights_from_bytes(b"TMAG" + data[4:], self.CFG)
+
+    def test_unknown_version_rejected(self):
+        data = weights_to_bytes(init_weights(self.CFG))
+        with pytest.raises(ParseError, match="unsupported version 2"):
+            weights_from_bytes(data[:4] + struct.pack("<H", 2) + data[6:], self.CFG)
 
     def test_fingerprint_mismatch_rejected(self):
-        cfg = ModelConfig(in_dim=3, encoder="gcn", layers=1, hidden_dim=4, seed=1)
-        data = weights_to_bytes(init_weights(cfg))
+        data = weights_to_bytes(init_weights(self.CFG))
         other = ModelConfig(in_dim=3, encoder="sage", layers=1, hidden_dim=4, seed=1)
-        with pytest.raises(nn.NnError, match="fingerprint"):
+        with pytest.raises(ParseError, match="fingerprint"):
             weights_from_bytes(data, other)
+
+    @pytest.mark.parametrize("edit", ["missing-tensor", "reshaped-tensor", "non-utf8-name"])
+    def test_tensor_layout_mismatch_rejected(self, edit):
+        w = init_weights(self.CFG)
+        if edit == "missing-tensor":
+            w.names.remove("enc0.ln.gain")
+        elif edit == "reshaped-tensor":
+            w.tensors["enc0.ln.gain"] = w.tensors["enc0.ln.gain"].reshape(2, -1)
+        data = weights_to_bytes(w)
+        if edit == "non-utf8-name":
+            data = data.replace(b"enc0.ln.gain", b"enc0.ln.\xff\xffin")
+        with pytest.raises(ParseError, match="tensor"):
+            weights_from_bytes(data, self.CFG)
 
 
 def test_nan_input_raises_with_layer_context():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tma.graph import Graph, generate_synthetic
-from tma.nn import Block, ModelConfig, encode, init_weights
+from tma.nn import Block, ModelConfig, encode, encode_with_tape, init_weights
 from tma.sampling import Mfg, SamplingError, _segment_order, build_mfg, sample_minibatch
 
 
@@ -191,7 +191,7 @@ def test_full_fanout_mfg_equals_full_graph_encode(encoder):
     w = init_weights(cfg)
     seeds = np.array([1, 5, 9, 30, 31])
     mfg = build_mfg(g, seeds, [None, None], np.random.default_rng(0))
-    emb_mfg = encode(cfg, w, mfg.blocks, x[mfg.input_nodes])
+    emb_mfg = encode_with_tape(cfg, w, mfg.blocks, x[mfg.input_nodes])[0]
     emb_full = encode(cfg, w, g, x)
     assert np.allclose(emb_mfg, emb_full[mfg.output_nodes], atol=1e-6)
 
@@ -202,7 +202,7 @@ def test_large_finite_fanout_is_exact_too():
     w = init_weights(cfg)
     max_deg = int(g.degrees().max())
     mfg = build_mfg(g, np.arange(6), [max_deg, max_deg], np.random.default_rng(0))
-    emb_mfg = encode(cfg, w, mfg.blocks, x[mfg.input_nodes])
+    emb_mfg = encode_with_tape(cfg, w, mfg.blocks, x[mfg.input_nodes])[0]
     emb_full = encode(cfg, w, g, x)
     assert np.allclose(emb_mfg, emb_full[mfg.output_nodes], atol=1e-6)
 

@@ -24,7 +24,7 @@ from tma.theory import (
 class TestExpectedEdgeCut:
     def test_beta_half(self):
         s = TwoClassSetup(beta=0.5, h=0.7, eta=100)
-        assert expected_edge_cut(s) == pytest.approx(100**2 / (2 * s.c_norm))
+        assert expected_edge_cut(s) == pytest.approx(s.eta / 2)
 
     def test_pure_partition_pure_homophily_cuts_nothing(self):
         s = TwoClassSetup(beta=1.0, h=1.0, eta=50)
