@@ -1,11 +1,13 @@
 """Command-line entry point: generate, split, partition, train, eval,
 theory-check, failure-sweep.
 
-Every command takes ``--config FILE`` (flat key=value) plus flag
-overrides; artifact paths are always explicit flags. Commands exit 0 on
-success and 1 with a single-line ``error: ...`` on failure (argparse
-itself exits 2 on usage errors). The effective config is echoed as
-``# key=value`` comment lines at the top of every metrics CSV.
+Every command takes ``--config FILE`` (flat key=value) plus a flag for
+each config key it reads and for no other (``PARTITION_KEYS``,
+``MODEL_KEYS``, ``RUN_KEYS``); any key can still be set in the file.
+Artifact paths are always explicit flags. Commands exit 0 on success and
+1 with a single-line ``error: ...`` on failure (argparse itself exits 2
+on usage errors, an unknown flag among them). The effective config is
+echoed as ``# key=value`` comment lines at the top of every metrics CSV.
 """
 
 from __future__ import annotations
@@ -47,6 +49,16 @@ def add_feature_noise(x: np.ndarray, scale: float, seed: int) -> np.ndarray:
         return x
     rng = np.random.default_rng(seed)
     return (x + scale * rng.standard_normal(x.shape)).astype(np.float32)
+
+
+# the config keys each command reads, and so takes as flags; MODEL_KEYS
+# leaves out lr, which eval never uses and the model fingerprint omits
+PARTITION_KEYS = ("scheme", "trainers", "supernodes", "partition_seed")
+MODEL_KEYS = ("encoder", "layers", "hidden", "decoder_layers", "model_seed")
+RUN_KEYS = PARTITION_KEYS + MODEL_KEYS + (
+    "lr", "seed", "mode", "budget", "interval", "batch_size", "fanouts", "step_times",
+    "readiness_timeout", "clock", "transport",
+)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -109,23 +121,30 @@ def convergence_time(metrics) -> float:
     return math.nan
 
 
-def write_metrics_csv(path, cfg: ExperimentConfig, result) -> None:
-    ids = sorted(result.live_ids)
+def write_csv(path, cfg: ExperimentConfig, header, rows) -> None:
+    """A CSV whose first lines echo the effective config as ``# key=value``."""
     with open(path, "w", newline="") as f:
         for key, value in cfg.as_items():
             f.write(f"# {key}={value}\n")
         writer = csv.writer(f)
-        header = ["wall_s", "round", "split", "mrr"]
-        header += [f"steps_{i}" for i in ids] + [f"loss_{i}" for i in ids]
         writer.writerow(header)
-        for row in result.metrics:
-            record = [f"{row.wall_s:.6f}", row.round, row.split, f"{row.mrr:.6f}"]
-            record += [row.steps.get(i, "") for i in ids]
-            record += [
-                f"{row.loss.get(i, math.nan):.6f}" if row.loss.get(i) is not None else ""
-                for i in ids
-            ]
-            writer.writerow(record)
+        writer.writerows(rows)
+
+
+def write_metrics_csv(path, cfg: ExperimentConfig, result) -> None:
+    ids = sorted(result.live_ids)
+    header = ["wall_s", "round", "split", "mrr"]
+    header += [f"steps_{i}" for i in ids] + [f"loss_{i}" for i in ids]
+    rows = []
+    for row in result.metrics:
+        record = [f"{row.wall_s:.6f}", row.round, row.split, f"{row.mrr:.6f}"]
+        record += [row.steps.get(i, "") for i in ids]
+        record += [
+            f"{row.loss.get(i, math.nan):.6f}" if row.loss.get(i) is not None else ""
+            for i in ids
+        ]
+        rows.append(record)
+    write_csv(path, cfg, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +195,7 @@ def _check_same_graph(graph, features, splits) -> None:
     n = graph.num_nodes
     if len(features) != n:
         raise GraphError(f"features have {len(features)} rows but the graph has {n} nodes")
-    for name in ("train_edges", "val_edges", "test_edges", "neg_tails"):
+    for name in ("val_edges", "test_edges", "neg_tails"):
         ids = getattr(splits, name)
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise GraphError(f"splits {name} name node ids outside the graph's {n} nodes")
@@ -187,7 +206,7 @@ def _load_training_inputs(args, cfg: ExperimentConfig):
     features = fileio.load_features(args.features)
     splits = fileio.load_splits(args.splits)
     _check_same_graph(train_graph, features, splits)
-    if getattr(args, "partition", None):
+    if args.partition:
         part = fileio.load_partition(args.partition)
     else:
         part = build_partition(cfg, train_graph)
@@ -204,9 +223,11 @@ def _load_training_inputs(args, cfg: ExperimentConfig):
     return train_graph, features, splits, specs
 
 
-def _run_config(cfg: ExperimentConfig, model: ModelConfig) -> RunConfig:
-    return RunConfig(
-        model=model,
+def _train(cfg: ExperimentConfig, inputs, fail_ids):
+    """One training of ``cfg`` on the loaded inputs; a failed trainer never starts."""
+    train_graph, features, splits, specs = inputs
+    run_cfg = RunConfig(
+        model=build_model_config(cfg, features.shape[1]),
         train_budget=cfg.budget,
         agg_interval=cfg.interval,
         mode=cfg.mode,
@@ -214,21 +235,20 @@ def _run_config(cfg: ExperimentConfig, model: ModelConfig) -> RunConfig:
         fanouts=cfg.fanouts,
         readiness_timeout=cfg.readiness_timeout,
     )
-
-
-def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
-    train_graph, features, splits, specs = _load_training_inputs(args, cfg)
-    model = build_model_config(cfg, features.shape[1])
-    result = run_training(
-        _run_config(cfg, model),
-        [s for s in specs if s.trainer_id not in cfg.fail_ids],  # a failed trainer never starts
+    return run_training(
+        run_cfg,
+        [s for s in specs if s.trainer_id not in fail_ids],
         train_graph,
         features,
         splits,
         runtime="sim" if cfg.clock == "sim" else "threads",
         transport=cfg.transport,
     )
+
+
+def cmd_train(args) -> int:
+    cfg = _config_from_args(args)
+    result = _train(cfg, _load_training_inputs(args, cfg), cfg.fail_ids)
     if args.metrics:
         write_metrics_csv(args.metrics, cfg, result)
     if args.save_weights:
@@ -333,46 +353,22 @@ def cmd_failure_sweep(args) -> int:
         raise ConfigError("failure-sweep picks the failed trainers itself; fail_ids must be empty")
     if not 1 <= args.fail_count < cfg.trainers:
         raise ConfigError(f"fail_count must be in [1, trainers - 1 = {cfg.trainers - 1}]")
-    train_graph, features, splits, specs = _load_training_inputs(args, cfg)
-    model = build_model_config(cfg, features.shape[1])
-    base = _run_config(cfg, model)
+    inputs = _load_training_inputs(args, cfg)
     choices = [()] + [c for c in itertools.combinations(range(cfg.trainers), args.fail_count)]
     rows = []
     for fail_ids in choices:
-        result = run_training(
-            base,
-            [s for s in specs if s.trainer_id not in fail_ids],
-            train_graph,
-            features,
-            splits,
-            runtime="sim" if cfg.clock == "sim" else "threads",
-            transport=cfg.transport,
-        )
-        rows.append(
-            {
-                "fail_ids": "none" if not fail_ids else "+".join(map(str, fail_ids)),
-                "rounds": result.rounds,
-                "best_val_mrr": result.best_val_mrr,
-                "test_mrr": result.test_mrr,
-                "convergence_s": convergence_time(result.metrics),
-            }
-        )
-    failed_rows = rows[1:]
-    rows.append(
-        {
-            "fail_ids": "avg_failed",
-            "rounds": float(np.mean([r["rounds"] for r in failed_rows])),
-            "best_val_mrr": float(np.mean([r["best_val_mrr"] for r in failed_rows])),
-            "test_mrr": float(np.mean([r["test_mrr"] for r in failed_rows])),
-            "convergence_s": float(np.mean([r["convergence_s"] for r in failed_rows])),
-        }
-    )
-    with open(args.out, "w", newline="") as f:
-        for key, value in cfg.as_items():
-            f.write(f"# {key}={value}\n")
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        result = _train(cfg, inputs, fail_ids)
+        rows.append([
+            "none" if not fail_ids else "+".join(map(str, fail_ids)),
+            result.rounds,
+            result.best_val_mrr,
+            result.test_mrr,
+            convergence_time(result.metrics),
+        ])
+    failed = [row[1:] for row in rows[1:]]
+    rows.append(["avg_failed"] + [float(np.mean(column)) for column in zip(*failed)])
+    header = ["fail_ids", "rounds", "best_val_mrr", "test_mrr", "convergence_s"]
+    write_csv(args.out, cfg, header, rows)
     print(f"failure-sweep runs={len(rows) - 1} -> {args.out}")
     return 0
 
@@ -399,13 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_split)
 
     p = sub.add_parser("partition", help="map nodes to trainers")
-    _add_config_flags(p, ["scheme", "trainers", "supernodes", "partition_seed"])
+    _add_config_flags(p, PARTITION_KEYS)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_partition)
 
     p = sub.add_parser("train", help="run one distributed training")
-    _add_config_flags(p, ExperimentConfig.field_names())
+    _add_config_flags(p, RUN_KEYS + ("fail_ids",))
     p.add_argument("--graph", required=True, help="training graph (post-split)")
     p.add_argument("--features", required=True)
     p.add_argument("--splits", required=True)
@@ -415,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="MRR of a checkpoint on val or test")
-    _add_config_flags(p, ["encoder", "layers", "hidden", "decoder_layers", "lr", "model_seed"])
+    _add_config_flags(p, MODEL_KEYS)
     p.add_argument("--weights", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--features", required=True)
@@ -433,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_theory_check)
 
     p = sub.add_parser("failure-sweep", help="drop each trainer in turn and average")
-    _add_config_flags(p, ExperimentConfig.field_names())
+    _add_config_flags(p, RUN_KEYS)
     p.add_argument("--graph", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--splits", required=True)

@@ -3,10 +3,13 @@ model weights.
 
 All formats are little-endian with a 4-byte magic. Loaders validate
 structure on the way in, reject trailing bytes, and report the byte offset
-of the first offending record on truncated or malformed input. The weight
-checkpoint is both a file (``tma train --save-weights``) and the payload of
-the TCP transport's weight frames, so its parser takes bytes as well as
-paths; either way a malformed checkpoint raises ``ParseError``.
+of the first offending record on truncated or malformed input. Splits
+(version 2) hold the val/test positives and their negatives only; the
+training edges live in the ``.train.graph`` that ``tma split`` writes
+beside them. The weight checkpoint is both a file (``tma train
+--save-weights``) and the payload of the TCP transport's weight frames, so
+its parser takes bytes as well as paths; either way a malformed checkpoint
+raises ``ParseError``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ SPLITS_MAGIC = b"TMAS"
 PARTITION_MAGIC = b"TMAP"
 WEIGHTS_MAGIC = b"TMAW"
 FORMAT_VERSION = 1
+SPLITS_VERSION = 2  # version 1 also held a copy of the training edges
 
 
 class ParseError(GraphError):
@@ -157,31 +161,28 @@ def save_splits(splits: EdgeSplits, path) -> None:
         f.write(SPLITS_MAGIC)
         f.write(
             struct.pack(
-                "<HQQQI",
-                FORMAT_VERSION,
-                len(splits.train_edges),
+                "<HQQI",
+                SPLITS_VERSION,
                 len(splits.val_edges),
                 len(splits.test_edges),
                 splits.num_negatives,
             )
         )
-        for arr in (splits.train_edges, splits.val_edges, splits.test_edges):
+        for arr in (splits.val_edges, splits.test_edges, splits.neg_tails):
             f.write(arr.astype("<u4").tobytes())
-        f.write(splits.neg_tails.astype("<u4").tobytes())
 
 
 def load_splits(path) -> EdgeSplits:
     r = _Reader(_read(path), path)
     r.expect_magic(SPLITS_MAGIC)
-    version, n_train, n_val, n_test, k = r.unpack("<HQQQI", "header")
-    if version != FORMAT_VERSION:
+    version, n_val, n_test, k = r.unpack("<HQQI", "header")
+    if version != SPLITS_VERSION:
         raise ParseError(f"{path}: unsupported version {version}")
-    train = r.array("<u4", 2 * n_train, "train edges").reshape(-1, 2).astype(np.int32)
     val = r.array("<u4", 2 * n_val, "val edges").reshape(-1, 2).astype(np.int32)
     test = r.array("<u4", 2 * n_test, "test edges").reshape(-1, 2).astype(np.int32)
     neg = r.array("<u4", (n_val + n_test) * k, "negatives").reshape(-1, k).astype(np.int32)
     r.expect_end()
-    return EdgeSplits(train_edges=train, val_edges=val, test_edges=test, neg_tails=neg)
+    return EdgeSplits(val_edges=val, test_edges=test, neg_tails=neg)
 
 
 # --- partition ("TMAP") ---------------------------------------------------

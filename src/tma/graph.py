@@ -169,7 +169,8 @@ class CompatibilityMatrix:
 
 @dataclass(frozen=True)
 class EdgeSplits:
-    """Train/val/test positives plus fixed corrupted-tail candidates.
+    """Val/test positives plus fixed corrupted-tail candidates. The training
+    edges are only those of the training graph ``build_splits`` returns.
 
     ``neg_tails`` has one row of ``num_negatives`` distinct tails per
     evaluation positive, validation rows first, then test rows. The rows
@@ -177,13 +178,12 @@ class EdgeSplits:
     identical candidate sets.
     """
 
-    train_edges: np.ndarray
     val_edges: np.ndarray
     test_edges: np.ndarray
     neg_tails: np.ndarray
 
     def __post_init__(self):
-        for name in ("train_edges", "val_edges", "test_edges"):
+        for name in ("val_edges", "test_edges"):
             arr = np.asarray(getattr(self, name), dtype=np.int32).reshape(-1, 2)
             object.__setattr__(self, name, _frozen(arr))
         object.__setattr__(
@@ -355,8 +355,7 @@ def build_splits(
     test_edges = edges[chosen_arr[n_val:]]
     train_mask = np.ones(m, dtype=bool)
     train_mask[chosen_arr] = False
-    train_edges = edges[train_mask]
-    train_graph = Graph.from_edges(n, train_edges)
+    train_graph = Graph.from_edges(n, edges[train_mask])
 
     eval_edges = np.concatenate([val_edges, test_edges]) if want else np.empty((0, 2), np.int32)
     neg = np.empty((want, k_negatives), dtype=np.int32)
@@ -364,6 +363,4 @@ def build_splits(
         cand = rng.choice(n, size=min(n, k_negatives + 2), replace=False)
         cand = cand[(cand != u) & (cand != v)][:k_negatives]
         neg[row] = cand
-    return train_graph, EdgeSplits(
-        train_edges=train_edges, val_edges=val_edges, test_edges=test_edges, neg_tails=neg
-    )
+    return train_graph, EdgeSplits(val_edges=val_edges, test_edges=test_edges, neg_tails=neg)

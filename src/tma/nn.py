@@ -386,11 +386,11 @@ def theory_mean_gradient(
 # optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -399,7 +399,7 @@ class AdamState:
 def adam_step(state: AdamState, w: ModelWeights, grads: dict, lr: float) -> ModelWeights:
     """One Adam update, in place on w (also returned)."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for name, _ in w.items():
@@ -410,7 +410,7 @@ def adam_step(state: AdamState, w: ModelWeights, grads: dict, lr: float) -> Mode
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        w.tensors[name] -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        w.tensors[name] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return w
 
 

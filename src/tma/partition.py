@@ -213,12 +213,8 @@ def _force_balance(g: Graph, labels: np.ndarray, sizes: np.ndarray, min_size: in
     guard = 4 * g.num_nodes
     while guard > 0 and (sizes.max() > max_size or sizes.min() < min_size):
         guard -= 1
-        if sizes.max() > max_size:
-            src = int(np.argmax(sizes))
-            dst = int(np.argmin(sizes))
-        else:
-            dst = int(np.argmin(sizes))
-            src = int(np.argmax(sizes))
+        src = int(np.argmax(sizes))
+        dst = int(np.argmin(sizes))
         move = _best_move_candidate(g, labels, src, dst)
         labels[move] = dst
         sizes[src] -= 1

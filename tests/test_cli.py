@@ -206,20 +206,55 @@ class TestFailureSweep:
 
     @pytest.mark.parametrize("source", ["flag", "config-file"])
     def test_fail_ids_rejected_single_line(self, tmp_path, small_cfg, dataset, capsys, source):
-        # the sweep chooses which trainers fail; a fail_ids it would ignore is an error
+        # the sweep chooses which trainers fail: it has no --fail-ids flag, and a
+        # fail_ids in the config file, which it would ignore, is an error
+        out = tmp_path / "sweep.csv"
+        args = ["failure-sweep", "--config", str(small_cfg), *_inputs(dataset), "--out", str(out)]
         if source == "flag":
-            extra = ["--fail-ids", "0"]
+            with pytest.raises(SystemExit) as exc:
+                run_cli(args + ["--fail-ids", "0"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --fail-ids 0" in capsys.readouterr().err
         else:
             small_cfg.write_text(small_cfg.read_text() + "\nfail_ids = 0\n")
-            extra = []
-        out = tmp_path / "sweep.csv"
-        rc = run_cli(["failure-sweep", "--config", str(small_cfg), *_inputs(dataset),
-                      *extra, "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("error: failure-sweep picks the failed trainers itself")
-        assert "\n" not in err
+            assert run_cli(args) == 1
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error: failure-sweep picks the failed trainers itself")
+            assert "\n" not in err
         assert not out.exists()
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("train", "--nodes"), ("train", "--negatives"), ("failure-sweep", "--fail-ids"),
+         ("eval", "--lr")],
+    )
+    def test_flag_of_a_key_the_command_never_reads_exits_2(self, capsys, command, flag):
+        inputs = ["--graph", "g", "--features", "f", "--splits", "s"]
+        required = {"train": inputs, "failure-sweep": inputs + ["--out", "o"],
+                    "eval": inputs + ["--weights", "w"]}
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *required[command], flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_flag_counts(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        counts = {
+            name: sum(len(a.option_strings) for a in p._actions if a.dest != "help")
+            for name, p in sub.choices.items()
+        }
+        assert counts == {"generate": 8, "split": 7, "partition": 7, "train": 28, "eval": 11,
+                          "theory-check": 6, "failure-sweep": 27}
+
+    @pytest.mark.parametrize("key", ["lr", "negatives"])
+    def test_every_key_still_set_by_config_file(self, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 7\n")
+        args = cli.build_parser().parse_args(["eval", "--config", str(cfg), "--weights", "w",
+                                              "--graph", "g", "--features", "f", "--splits", "s"])
+        assert getattr(cli._config_from_args(args), key) == 7
 
 
 class TestErrorPaths:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -132,8 +134,22 @@ class TestSplitsRoundtrip:
         path = tmp_path / "s.tmas"
         save_splits(splits, path)
         s2 = load_splits(path)
-        for name in ("train_edges", "val_edges", "test_edges", "neg_tails"):
+        for name in ("val_edges", "test_edges", "neg_tails"):
             assert np.array_equal(getattr(splits, name), getattr(s2, name))
+
+    def test_version_1_rejected(self, artifacts, tmp_path):
+        # version 1 also carried the training edges, between the header and the val edges
+        train, splits = artifacts[3], artifacts[4]
+        train_edges = train.edge_array()
+        header = struct.pack("<HQQQI", 1, len(train_edges), len(splits.val_edges),
+                             len(splits.test_edges), splits.num_negatives)
+        body = [train_edges, splits.val_edges, splits.test_edges, splits.neg_tails]
+        path = tmp_path / "v1.tmas"
+        path.write_bytes(
+            fileio.SPLITS_MAGIC + header + b"".join(a.astype("<u4").tobytes() for a in body)
+        )
+        with pytest.raises(ParseError, match="unsupported version 1"):
+            load_splits(path)
 
     def test_truncation(self, artifacts, tmp_path):
         splits = artifacts[4]
