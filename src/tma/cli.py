@@ -75,15 +75,9 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys):
     defaults = ExperimentConfig()
     for key in keys:
         current = getattr(defaults, key)
-        flag = "--" + key.replace("_", "-")
-        if isinstance(current, tuple):
-            parser.add_argument(flag, type=str, default=None, help=f"default {current}")
-        elif isinstance(current, float):
-            parser.add_argument(flag, type=float, default=None, help=f"default {current}")
-        elif isinstance(current, int):
-            parser.add_argument(flag, type=int, default=None, help=f"default {current}")
-        else:
-            parser.add_argument(flag, type=str, default=None, help=f"default {current}")
+        kind = str if isinstance(current, tuple) else type(current)  # tuples parse in config
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, default=None,
+                            help=f"default {current}")
 
 
 def build_model_config(cfg: ExperimentConfig, in_dim: int) -> ModelConfig:

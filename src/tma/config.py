@@ -17,18 +17,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = str(text).strip()
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
+def _parse_list(kind):
+    """A parser of comma-separated ``kind`` values into a tuple."""
 
+    def parse(text: str) -> tuple:
+        text = str(text).strip()
+        return tuple(kind(p) for p in text.split(",")) if text else ()
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    text = str(text).strip()
-    if not text:
-        return ()
-    return tuple(float(p) for p in text.split(","))
+    return parse
 
 
 @dataclass
@@ -69,9 +65,9 @@ class ExperimentConfig:
     transport: str = "inproc"
 
     _list_fields = {
-        "fanouts": _parse_int_list,
-        "fail_ids": _parse_int_list,
-        "step_times": _parse_float_list,
+        "fanouts": _parse_list(int),
+        "fail_ids": _parse_list(int),
+        "step_times": _parse_list(float),
     }
 
     @classmethod

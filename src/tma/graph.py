@@ -126,8 +126,7 @@ class Graph:
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
         return cls(indptr=indptr, indices=dst.astype(np.int32))
 
 

@@ -72,32 +72,27 @@ class ModelConfig:
 
 @dataclass
 class ModelWeights:
-    """Ordered, named parameter tensors; the unit shipped between workers.
+    """Named parameter tensors; the unit shipped between workers. The order
+    of ``tensors`` is the checkpoint order.
 
     Two ModelWeights are aggregable iff their fingerprints match.
     """
 
     fingerprint: str
-    names: list[str]
     tensors: dict[str, np.ndarray]
 
     def copy(self) -> "ModelWeights":
-        return ModelWeights(
-            fingerprint=self.fingerprint,
-            names=list(self.names),
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-        )
+        return ModelWeights(self.fingerprint, {k: v.copy() for k, v in self.tensors.items()})
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
     def items(self):
-        for name in self.names:
-            yield name, self.tensors[name]
+        return self.tensors.items()
 
     def equal_bits(self, other: "ModelWeights") -> bool:
         return self.fingerprint == other.fingerprint and all(
-            np.array_equal(self.tensors[n], other.tensors[n]) for n in self.names
+            np.array_equal(t, other.tensors[n]) for n, t in self.items()
         )
 
 
@@ -120,7 +115,7 @@ def init_weights(cfg: ModelConfig) -> ModelWeights:
             tensors[name] = np.zeros(shape)
         else:
             tensors[name] = np.full(shape, 0.25)
-    return ModelWeights(cfg.fingerprint(), list(tensors), tensors)
+    return ModelWeights(cfg.fingerprint(), tensors)
 
 
 def zero_grads(w: ModelWeights) -> dict[str, np.ndarray]:
@@ -434,8 +429,7 @@ def aggregate_average(weight_sets: list[ModelWeights]) -> ModelWeights:
             )
     out = first.copy()
     for k, other in enumerate(weight_sets[1:], start=2):
-        for name in out.names:
-            t = out.tensors[name]
+        for name, t in out.items():
             t += (other.tensors[name] - t) / k
     return out
 

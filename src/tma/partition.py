@@ -62,7 +62,6 @@ class Subgraph:
     features: np.ndarray
     global_ids: np.ndarray
     train_edges: np.ndarray
-    trainer_id: int
 
     @property
     def num_nodes(self) -> int:
@@ -292,7 +291,6 @@ def induce_subgraphs(
                 features=features[nodes],
                 global_ids=nodes,
                 train_edges=local_graph.edge_array(),
-                trainer_id=i,
             )
         )
     if splits is not None:

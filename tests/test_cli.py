@@ -287,7 +287,7 @@ class TestErrorPaths:
         dim = fileio.load_features(prefix + ".feat").shape[1]
         w = init_weights(build_model_config(ExperimentConfig.from_sources(small_cfg, {}), dim))
         if edit == "missing-tensor":
-            w.names.remove("enc0.ln.gain")
+            del w.tensors["enc0.ln.gain"]
         else:
             w.tensors["enc0.ln.gain"] = w.tensors["enc0.ln.gain"].reshape(2, -1)
         save_weights(w, tmp_path / "bad.tmaw")  # right fingerprint, wrong tensors

@@ -424,7 +424,6 @@ class TestTmaProtocol:
             features=x[:3],
             global_ids=np.arange(3),
             train_edges=np.empty((0, 2), dtype=np.int32),
-            trainer_id=1,
         )
         specs = [
             TrainerSpec(trainer_id=0, subgraph=subs[0], seed=1, step_time=0.05),
@@ -612,11 +611,11 @@ _TINY_W = init_weights(TINY)
 _HELLO_0 = _frame(MSG_HELLO, 0)
 
 
-def _report_frame(names=_TINY_W.names, tensors=_TINY_W.tensors, trainer=0, trailing=b""):
+def _report_frame(tensors=_TINY_W.tensors, trainer=0, trailing=b""):
     """A WEIGHTS frame from ``trainer`` whose checkpoint has TINY's
     fingerprint and these tensors, followed by ``trailing``."""
     report = struct.pack("<qd", 1, 0.5)
-    checkpoint = weights_to_bytes(ModelWeights(TINY.fingerprint(), names, tensors))
+    checkpoint = weights_to_bytes(ModelWeights(TINY.fingerprint(), tensors))
     return _frame(MSG_WEIGHTS, trainer, report + checkpoint + trailing)
 
 
@@ -720,7 +719,7 @@ class TestThreadRuntimeAndTcp:
             pytest.param([_HELLO_0, _frame(MSG_WEIGHTS, 0, b"junk")], id="bad-weights"),
             pytest.param([_HELLO_0, _frame(99, 0)], id="unknown-frame-type"),
             pytest.param(
-                [_HELLO_0, _report_frame([n for n in _TINY_W.names if n != "enc0.ln.gain"])],
+                [_HELLO_0, _report_frame({n: t for n, t in _TINY_W.items() if n != "enc0.ln.gain"})],
                 id="wrong-tensors",
             ),
             pytest.param(
@@ -833,7 +832,7 @@ class TestThreadRuntimeAndTcp:
             ep.send_weights(3, _TINY_W, 7, 0.25)
             tag, got, steps, loss = coord.recv_weights(0, timeout=2.0)
             assert (tag, steps, loss) == (3, 7, 0.25)
-            assert got.names == _TINY_W.names
+            assert list(got.tensors) == list(_TINY_W.tensors)
             for name, tensor in _TINY_W.items():
                 assert np.array_equal(got[name], tensor.astype(np.float32))
             # flags are booleans; anything else is refused before it is sent

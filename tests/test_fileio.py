@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -151,6 +152,15 @@ class TestSplitsRoundtrip:
         with pytest.raises(ParseError, match="unsupported version 1"):
             load_splits(path)
 
+    def test_zero_negatives(self, artifacts, tmp_path):
+        _, splits = build_splits(artifacts[0], 0.05, 0.05, 0, seed=1)
+        path = tmp_path / "s.tmas"
+        save_splits(splits, path)
+        s2 = load_splits(path)
+        assert s2.neg_tails.shape == (len(splits.val_edges) + len(splits.test_edges), 0)
+        assert np.array_equal(splits.val_edges, s2.val_edges)
+        assert np.array_equal(splits.test_edges, s2.test_edges)
+
     def test_truncation(self, artifacts, tmp_path):
         splits = artifacts[4]
         path = tmp_path / "s.tmas"
@@ -181,3 +191,64 @@ class TestPartitionRoundtrip:
         with pytest.raises(ParseError, match="trailing"):
             load_partition(bad)
 
+
+
+# --- every format -----------------------------------------------------------
+
+# kind -> (saver, loader, header format after the magic)
+FORMATS = {
+    "graph": (save_graph, load_graph, "<HQQ"),
+    "features": (save_features, load_features, "<QI"),
+    "labels": (save_labels, load_labels, "<QH"),
+    "splits": (save_splits, load_splits, "<HQQI"),
+    "partition": (save_partition, load_partition, "<QH"),
+}
+
+
+def _artifact(kind, artifacts):
+    g, x, y, train, splits = artifacts
+    return {"graph": train, "features": x, "labels": y, "splits": splits,
+            "partition": partition_random_node(train, 3, seed=2)}[kind]
+
+
+# sha256 of each artifact of the fixture's seeded 200-node graph; the weight
+# checkpoint's pin is test_nn.py's TestCheckpoint.test_bytes_are_pinned
+PINNED = {
+    "graph": "962223c29cc88eec463716333a84cb50aa73a48a56b2056196bb6db8b3c025fc",
+    "features": "d1807479f6d0b1f8bd19d5d1c08fd650b39fd19f5520160a304f358a16e94473",
+    "labels": "4762593e94ca85d1f832b3350f54b0a43999dbd39181015dda11d7d0dbd35ea4",
+    "splits": "c9725df06dcaf2e2af990e26e9c323e97409cc5caefd66480bffc9ba352599b0",
+    "partition": "8b74b01cdbb48312f00c052af4ac69af38a601de02b958adfb19b55597e3693a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_bytes_are_pinned(kind, artifacts, tmp_path):
+    save = FORMATS[kind][0]
+    path = tmp_path / kind
+    save(_artifact(kind, artifacts), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[kind]
+
+
+def _header_cases():
+    for kind, (_, _, fmt) in FORMATS.items():
+        for field, code in enumerate(fmt[1:]):
+            top = 2 ** (8 * struct.calcsize("<" + code)) - 1
+            for value in (0, 1, top):
+                yield pytest.param(kind, field, value, id=f"{kind}-field{field}-{value}")
+
+
+@pytest.mark.parametrize("kind,field,value", list(_header_cases()))
+def test_any_header_value_loads_or_raises_parse_error(kind, field, value, artifacts, tmp_path):
+    save, load, fmt = FORMATS[kind]
+    path = tmp_path / kind
+    save(_artifact(kind, artifacts), path)
+    data = bytearray(path.read_bytes())
+    header = list(struct.unpack_from(fmt, data, 4))
+    header[field] = value
+    struct.pack_into(fmt, data, 4, *header)
+    path.write_bytes(bytes(data))
+    try:
+        load(path)
+    except ParseError:
+        pass

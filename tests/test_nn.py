@@ -282,7 +282,7 @@ class TestAdam:
         assert w.equal_bits(before)
 
     def test_quadratic_convergence(self):
-        w = ModelWeights("q", ["x"], {"x": np.array([5.0])})
+        w = ModelWeights("q", {"x": np.array([5.0])})
         state = AdamState()
         target = 1.7
         for _ in range(500):
@@ -301,7 +301,7 @@ class TestAdam:
 
 class TestAggregateAverage:
     def _mw(self, vals):
-        return ModelWeights("f", ["a"], {"a": np.array(vals, dtype=np.float64)})
+        return ModelWeights("f", {"a": np.array(vals, dtype=np.float64)})
 
     def test_single_input_identity(self):
         w = self._mw([1.0, 2.0])
@@ -328,7 +328,7 @@ class TestAggregateAverage:
 
     def test_fingerprint_mismatch(self):
         w1 = self._mw([1.0])
-        w2 = ModelWeights("other", ["a"], {"a": np.array([1.0])})
+        w2 = ModelWeights("other", {"a": np.array([1.0])})
         with pytest.raises(nn.NnError):
             aggregate_average([w1, w2])
 
@@ -346,7 +346,7 @@ class TestCheckpoint:
         cfg = ModelConfig(in_dim=3, encoder="gcn", layers=2, hidden_dim=4, seed=1)
         w = init_weights(cfg)
         out = weights_from_bytes(weights_to_bytes(w), cfg)
-        assert out.names == w.names
+        assert list(out.tensors) == list(w.tensors)
         for n, t in w.items():
             assert np.array_equal(out[n], t.astype(np.float32).astype(np.float64))
 
@@ -390,7 +390,7 @@ class TestCheckpoint:
     def test_tensor_layout_mismatch_rejected(self, edit):
         w = init_weights(self.CFG)
         if edit == "missing-tensor":
-            w.names.remove("enc0.ln.gain")
+            del w.tensors["enc0.ln.gain"]
         elif edit == "reshaped-tensor":
             w.tensors["enc0.ln.gain"] = w.tensors["enc0.ln.gain"].reshape(2, -1)
         data = weights_to_bytes(w)
