@@ -1,21 +1,23 @@
 """Time-based aggregation protocol: server, trainers, evaluator, and a
 synchronous-gradient baseline mode.
 
-The server owns the round clock: every ``agg_interval`` it raises the
-``agg`` flag, collects exactly one report per live trainer, averages the
-weights, broadcasts the new global weights, and queues a validation
-evaluation. A report is one message: the round tag, the weights, and the
-trainer's step count and loss EMA for the metrics row. Trainers run local
-steps continuously and only synchronize when they observe the flag between
-steps, so heterogeneous trainer speeds never block each other outside the
-collection window. The ``stop`` flag is monotone; a trainer finishes its
+The server owns the round clock and never polls: it sleeps to the next
+round's deadline, ``agg_interval`` after the last round closed, then
+raises the ``agg`` flag, collects exactly one report per live trainer,
+averages the weights, broadcasts the new global weights, and queues a
+validation evaluation. A report is one message: the round tag, the
+weights, and the trainer's step count and loss EMA for the metrics row.
+Trainers run local steps continuously and only synchronize when they
+observe the flag between steps, so heterogeneous trainer speeds never
+block each other outside the collection window. At the budget's deadline
+the server raises the monotone ``stop`` flag; a trainer finishes its
 current step and exits cleanly.
 
 A failed trainer is one that was never started: the caller leaves its spec
-out, and the rounds average the trainers that run. The server waits up to
-``readiness_timeout`` only for a registered trainer whose endpoint never
-connects, then goes on without it. Flags flow one way: the server sets
-them, the trainers read them.
+out, and the rounds average the trainers that run. The server reads joins
+from its endpoint's ``joined`` channel within ``readiness_timeout`` and
+goes on without a registered trainer that never joins. Flags flow one
+way: the server sets them, the trainers read them.
 
 Both modes keep one round book (``_Rounds``): the global weights, metrics
 row and close time of every round, and the evaluations still in flight.
@@ -30,6 +32,7 @@ deterministic simulation used by the acceptance tests.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -45,9 +48,6 @@ from .sampling import sample_minibatch
 from .transport import InProcTransports, TcpCoordinator, TcpTrainerEndpoint
 
 LOSS_EMA_ALPHA = 0.1
-# seconds between the server's checks of the round clock; the sim schedule
-# (and so every sim result) depends on this exact value
-SERVER_POLL = 0.01
 # seconds a trainer with no local edges waits between flag checks
 IDLE_POLL = 0.05
 # validation evaluations in flight at once; a round closed beyond it is not scored
@@ -241,55 +241,57 @@ class _Rounds:
 
 
 def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs, eval_results):
-    ids, t0 = endpoint.trainer_ids, clock.now()
-    while len(endpoint.connected()) < len(ids) and clock.now() - t0 < cfg.readiness_timeout:
-        clock.sleep(SERVER_POLL)
-    live = endpoint.connected()
+    t0, live = clock.now(), []
+    with contextlib.suppress(ChannelTimeout):
+        while len(live) < len(endpoint.trainer_ids):
+            live.append(endpoint.joined.get(timeout=t0 + cfg.readiness_timeout - clock.now()))
     if not live:
         raise ProtocolError("no trainer became ready before the readiness timeout")
+    live.sort()
 
     w_global = initial.copy()
     for i in live:
         endpoint.send_global(i, 0, w_global)
 
-    steps = {i: 0 for i in live}
-    losses = {i: math.nan for i in live}
+    steps, losses = dict.fromkeys(live, 0), dict.fromkeys(live, math.nan)
 
     def tally():
         return {i: steps[i] for i in live}, {i: losses[i] for i in live}
 
     book = _Rounds(clock, w_global, eval_jobs, eval_results)
-    t_agg = book.t_start
-    stop = False
-    while not stop:
-        if clock.now() - t_agg >= cfg.agg_interval:
-            endpoint.kv_set("agg", True)
-            collected = []
-            for i in list(live):
-                try:
-                    tag, w_i, steps[i], losses[i] = endpoint.recv_weights(i)
-                except ChannelClosed:
-                    live.remove(i)
-                    continue
-                if tag != book.t:
-                    raise ProtocolError(
-                        f"trainer {i} submitted weights for round {tag} during round {book.t}"
-                    )
-                collected.append(w_i)
-            if not live:
-                raise ProtocolError("all trainers dead; aborting the run")
-            endpoint.kv_set("agg", False)
-            w_global = aggregate_average(collected)
-            for i in live:
-                endpoint.send_global(i, book.t + 1, w_global)
-            book.close(w_global, *tally())
-            t_agg = clock.now()
-        if clock.now() - book.t_start > cfg.train_budget:
-            endpoint.kv_set("stop", True)
-            stop = True
+    due, end = book.t_start + cfg.agg_interval, book.t_start + cfg.train_budget
+    while True:
+        wait = min(due, end) - clock.now()
+        if wait >= 0:  # a deadline already past (a round overran the budget) gets no yield
+            clock.sleep(wait)
+            # under the sim clock, let every actor due at this same instant
+            # run first: a trainer whose step ends on the deadline starts another
+            clock.sleep(0)
+        if due > end:
+            break
         book.drain()
-        clock.sleep(SERVER_POLL)
-
+        endpoint.kv_set("agg", True)
+        collected = []
+        for i in list(live):
+            try:
+                tag, w_i, steps[i], losses[i] = endpoint.recv_weights(i)
+            except ChannelClosed:
+                live.remove(i)
+                continue
+            if tag != book.t:
+                raise ProtocolError(
+                    f"trainer {i} submitted weights for round {tag} during round {book.t}"
+                )
+            collected.append(w_i)
+        if not live:
+            raise ProtocolError("all trainers dead; aborting the run")
+        endpoint.kv_set("agg", False)
+        w_global = aggregate_average(collected)
+        for i in live:
+            endpoint.send_global(i, book.t + 1, w_global)
+        book.close(w_global, *tally())
+        due = clock.now() + cfg.agg_interval
+    endpoint.kv_set("stop", True)
     return book.finish(live, *tally(), {})
 
 
@@ -301,7 +303,7 @@ def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: Trainer
     sub = spec.subgraph
     rng = np.random.default_rng(spec.seed)
     degenerate = sub.num_edges == 0 or sub.num_nodes < 2
-    features = sub.features
+    features, edges = sub.features, sub.local_graph.edge_array()
 
     try:
         tag, w = endpoint.recv_global()
@@ -316,9 +318,7 @@ def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: Trainer
             if degenerate:
                 clock.sleep(IDLE_POLL)
             else:
-                batch = sample_minibatch(
-                    sub.local_graph, sub.train_edges, cfg.batch_size, cfg.fanouts, rng
-                )
+                batch = sample_minibatch(sub.local_graph, edges, cfg.batch_size, cfg.fanouts, rng)
                 u, v, labels = batch.pair_indices()
                 loss = nn.link_step(
                     cfg.model, w, opt, batch.mfg.blocks,

@@ -126,13 +126,15 @@ def load_graph(path) -> Graph:
 
 def save_features(x: np.ndarray, path) -> None:
     x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 2:
-        raise ParseError("features must be a 2-d matrix")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ParseError("features must be a 2-d matrix with at least one column")
     _write(path, FEATURES_MAGIC, struct.pack("<QI", *x.shape), np.ascontiguousarray(x, "<f4"))
 
 
 def load_features(path) -> np.ndarray:
     r, (n, dim) = _open(path, FEATURES_MAGIC, "<QI")
+    if dim == 0:
+        raise ParseError(f"{path}: feature dimension 0")
     x = r.array("<f4", n * dim, "feature rows").reshape(n, dim)
     r.expect_end()
     _reject(path, ~np.isfinite(x).ravel(), "non-finite feature value")
@@ -184,6 +186,8 @@ def save_partition(p: Partition, path) -> None:
 
 def load_partition(path) -> Partition:
     r, (n, m) = _open(path, PARTITION_MAGIC, "<QH")
+    if m == 0:
+        raise ParseError(f"{path}: partition into 0 trainers")
     assignment = r.array("<u2", n, "assignment").astype(np.int32)
     r.expect_end()
     _reject(path, assignment >= m, "trainer id out of range")

@@ -61,7 +61,6 @@ class Subgraph:
     local_graph: Graph
     features: np.ndarray
     global_ids: np.ndarray
-    train_edges: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -283,22 +282,14 @@ def induce_subgraphs(
         nodes = partition.members(i)
         mask = (assignment[edges[:, 0]] == i) & (assignment[edges[:, 1]] == i)
         sub_edges = edges[mask]
-        local = np.searchsorted(nodes, sub_edges)
-        local_graph = Graph.from_edges(len(nodes), local)
-        out.append(
-            Subgraph(
-                local_graph=local_graph,
-                features=features[nodes],
-                global_ids=nodes,
-                train_edges=local_graph.edge_array(),
-            )
-        )
+        local_graph = Graph.from_edges(len(nodes), np.searchsorted(nodes, sub_edges))
+        out.append(Subgraph(local_graph=local_graph, features=features[nodes], global_ids=nodes))
     if splits is not None:
         held_out = np.concatenate([splits.val_edges, splits.test_edges])
         n = train_graph.num_nodes
         held_keys = held_out[:, 0].astype(np.int64) * n + held_out[:, 1]
         for sub in out:
-            e = sub.global_ids[sub.train_edges].astype(np.int64)
+            e = sub.global_ids[sub.local_graph.edge_array()].astype(np.int64)
             keys = np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1])
             if np.isin(keys, held_keys).any():
                 raise PartitionError("evaluation edge leaked into a local subgraph")

@@ -2,14 +2,14 @@
 
 Two interchangeable implementations of the same endpoint API: in-process
 channels (works under both the thread and sim runtimes; weights travel as
-value copies) and length-prefixed TCP framing for multi-process runs.
-Either way a trainer's round report is one message, ``send_weights(round,
-weights, steps, loss)``, which the server reads back as the tuple
-``recv_weights(i) -> (round, weights, steps, loss)``.
+value copies) and length-prefixed TCP framing on loopback, one socket per
+trainer thread. Either way a trainer's round report is one message,
+``send_weights(round, weights, steps, loss)``, which the server reads back
+as the tuple ``recv_weights(i) -> (round, weights, steps, loss)``.
 
-Liveness is the transport's job: the server endpoint's ``connected()``
-lists the trainers whose endpoints exist. Flags flow one way, set by the
-server (``kv_set``) and read by the trainers (``kv_get``).
+Liveness is the transport's job: each trainer id arrives once on the server
+endpoint's ``joined`` channel, when its endpoint connects. Flags flow one
+way, set by the server (``kv_set``) and read by the trainers (``kv_get``).
 
 Wire frame: {frame_len u32, msg_type u8, round u32, trainer u16, payload},
 little-endian; frame_len counts everything after itself.
@@ -80,24 +80,23 @@ class KvStore:
 class InProcTransports:
     """The in-process hub and its server endpoint: one KvStore shared with the
     trainers, and a channel each way per trainer; weights are copied on send.
-    A trainer is connected once its endpoint has been handed out."""
+    A trainer joins when its endpoint is handed out, once per registered id."""
 
     def __init__(self, runtime, trainer_ids):
         self.kv = KvStore()
         self.trainer_ids = sorted(trainer_ids)
+        self.joined = runtime.channel()
         self._to_server = {i: runtime.channel() for i in self.trainer_ids}
         self._to_trainer = {i: runtime.channel() for i in self.trainer_ids}
-        self._connected: set[int] = set()
-        self._lock = threading.Lock()  # trainer threads add while the server reads
+        self._unclaimed = set(self.trainer_ids)
 
     def trainer_endpoint(self, trainer_id: int) -> "InProcTrainerEndpoint":
-        with self._lock:
-            self._connected.add(trainer_id)
+        try:
+            self._unclaimed.remove(trainer_id)  # atomic under the GIL
+        except KeyError:
+            raise TransportError(f"trainer id {trainer_id} is unknown or taken") from None
+        self.joined.put(trainer_id)
         return InProcTrainerEndpoint(self, trainer_id)
-
-    def connected(self) -> list[int]:
-        with self._lock:
-            return sorted(self._connected)
 
     def kv_set(self, key, value):
         self.kv.set(key, value)
@@ -188,10 +187,12 @@ def recv_frame(sock: socket.socket):
 
 class TcpCoordinator:
     """Server side of the TCP transport: listener and per-connection readers.
-    A connection's HELLO claims its trainer id; kv_set pushes to all."""
+    A connection's HELLO claims its trainer id, which then joins; kv_set
+    pushes to all."""
 
     def __init__(self, trainer_ids, model: ModelConfig, host: str = "127.0.0.1", port: int = 0):
         self.trainer_ids = sorted(trainer_ids)
+        self.joined = ThreadChannel()
         self._model = model
         self._inbox = {i: ThreadChannel() for i in self.trainer_ids}
         self._conns: dict[int, tuple[socket.socket, threading.Lock]] = {}
@@ -218,6 +219,7 @@ class TcpCoordinator:
             if trainer not in self._inbox or self._conns.setdefault(trainer, entry) is not entry:
                 raise TransportError(f"trainer id {trainer} is unknown or taken")
             trainer_id = trainer
+            self.joined.put(trainer_id)
             while True:
                 msg_type, round_t, trainer, payload = recv_frame(conn)
                 if (msg_type, trainer) != (MSG_WEIGHTS, trainer_id):
@@ -245,9 +247,6 @@ class TcpCoordinator:
                 pass
 
     # endpoint API
-    def connected(self) -> list[int]:
-        return sorted(self._conns)
-
     def kv_set(self, key, value):
         payload = _encode_kv(key, value)
         for trainer_id in list(self._conns):

@@ -1,6 +1,8 @@
+import contextlib
 import math
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -28,6 +30,7 @@ from tma.runtime import (
     ChannelTimeout,
     DeadlockError,
     RealClock,
+    SimClock,
     SimRuntime,
     ThreadChannel,
     ThreadRuntime,
@@ -315,6 +318,55 @@ class TestTmaProtocol:
         assert abs(res.rounds - 6) <= 1
         assert res.rounds == len(res.round_times)
 
+    @staticmethod
+    def _run_with_deadlines_on_step_ends():
+        """Step 0.5, interval 2 and budget 6: every deadline is a step end."""
+        train, x, y, splits = make_dataset(seed=9)
+        specs = make_specs(train, x, 2, step_time=0.5)
+        cfg = RunConfig(
+            model=small_model(x), train_budget=6.0, agg_interval=2.0,
+            batch_size=16, fanouts=(3, 3),
+        )
+        return run_training(cfg, specs, train, x, splits)
+
+    def test_counts_are_exact_when_deadlines_land_on_step_ends(self):
+        res = self._run_with_deadlines_on_step_ends()
+        # a trainer whose step ends on the budget's deadline starts one more:
+        # floor(budget / step) + 1 steps
+        assert [log.steps for log in res.trainer_logs.values()] == [13, 13]
+        # a round is due interval after the last one closed, and closes when
+        # the step under way ends: floor(budget / (interval + step)) rounds
+        assert res.round_times == [2.5, 5.0]
+
+    def test_a_round_that_overruns_the_budget_ends_the_run(self):
+        train, x, y, splits = make_dataset(seed=9)
+        specs = make_specs(train, x, 2, step_time=0.5)
+        cfg = RunConfig(
+            model=small_model(x), train_budget=4.7, agg_interval=2.0,
+            batch_size=16, fanouts=(3, 3),
+        )
+        res = run_training(cfg, specs, train, x, splits)
+        # round 2 is due at 4.5, inside the budget, and closes at 5.0, past
+        # it: stop is raised before a trainer can start another step
+        assert res.round_times == [2.5, 5.0]
+        assert [log.steps for log in res.trainer_logs.values()] == [10, 10]
+
+    def test_server_sleeps_only_to_deadlines(self, monkeypatch):
+        server_sleeps = []
+        real_sleep = SimClock.sleep
+
+        def counting_sleep(clock, seconds):
+            if threading.current_thread().name == "server":
+                server_sleeps.append(seconds)
+            real_sleep(clock, seconds)
+
+        monkeypatch.setattr(SimClock, "sleep", counting_sleep)
+        res = self._run_with_deadlines_on_step_ends()
+        # one sleep to each round's deadline and the budget's, each followed
+        # by one same-instant yield
+        assert res.rounds == 2
+        assert len(server_sleeps) <= 2 * res.rounds + 2
+
     def test_single_trainer_global_equals_local(self):
         train, x, y, splits = make_dataset(seed=1)
         specs = make_specs(train, x, 1, step_time=0.1)
@@ -423,7 +475,6 @@ class TestTmaProtocol:
             local_graph=Graph.from_edges(3, np.empty((0, 2))),
             features=x[:3],
             global_ids=np.arange(3),
-            train_edges=np.empty((0, 2), dtype=np.int32),
         )
         specs = [
             TrainerSpec(trainer_id=0, subgraph=subs[0], seed=1, step_time=0.05),
@@ -437,6 +488,15 @@ class TestTmaProtocol:
         assert res.rounds >= 2
         assert res.trainer_logs[1].steps == 0
         assert len(res.trainer_logs[1].send_rounds) == res.rounds
+
+
+def _available(channel) -> list:
+    """Every item that ``channel`` holds now, in order."""
+    items = []
+    with contextlib.suppress(ChannelTimeout):
+        while True:
+            items.append(channel.get(timeout=0.0))
+    return items
 
 
 def run_on_hub(cfg, registered, specs, train, x, splits):
@@ -475,13 +535,43 @@ class TestFailureInjection:
     ``readiness_timeout`` for a registered trainer whose endpoint never
     connects, then runs the rounds with the others."""
 
-    def test_connected_lists_the_endpoints_handed_out(self):
-        hub = InProcTransports(SimRuntime(), [0, 1, 2])
-        assert hub.connected() == []
+    def test_joined_receives_each_endpoint_handed_out(self):
+        hub = InProcTransports(ThreadRuntime(), [0, 1, 2])
         hub.trainer_endpoint(2)
-        assert hub.connected() == [2]
         hub.trainer_endpoint(0)
-        assert hub.connected() == [0, 2]
+        assert _available(hub.joined) == [2, 0]
+
+    def test_trainer_endpoint_refuses_a_taken_or_unknown_id(self):
+        hub = InProcTransports(ThreadRuntime(), [0, 1])
+        hub.trainer_endpoint(0)
+        with pytest.raises(TransportError, match="unknown or taken"):
+            hub.trainer_endpoint(0)
+        with pytest.raises(TransportError, match="unknown or taken"):
+            hub.trainer_endpoint(5)
+        assert _available(hub.joined) == [0]
+
+    def test_racing_claims_hand_out_each_id_once(self):
+        hub = InProcTransports(ThreadRuntime(), [0, 1, 2, 3])
+        won = []
+
+        def claim(trainer_id):
+            with contextlib.suppress(TransportError):
+                hub.trainer_endpoint(trainer_id)
+                won.append(trainer_id)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=claim, args=(k % 4,)) for k in range(32)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(5.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert sorted(won) == [0, 1, 2, 3]
+        assert sorted(_available(hub.joined)) == [0, 1, 2, 3]
 
     def test_no_failures_identical_to_plain_run(self):
         train, x, y, splits = make_dataset(seed=8)
@@ -740,7 +830,7 @@ class TestThreadRuntimeAndTcp:
                 assert peer.recv(1) == b""  # EOF within the 1 s timeout
             # only a HELLO claims an id, and only the claimed trainer is dropped
             claimed = [0] if frames[0] == _HELLO_0 else []
-            assert coord.connected() == claimed
+            assert _available(coord.joined) == claimed
             for i in claimed:
                 with pytest.raises(ChannelClosed):
                     coord.recv_weights(i, timeout=1.0)
@@ -757,10 +847,11 @@ class TestThreadRuntimeAndTcp:
         coord = TcpCoordinator([0], TINY)
         first = TcpTrainerEndpoint(coord.address, 0, TINY)
         try:
-            _wait_for(lambda: coord.connected() == [0])
+            assert coord.joined.get(timeout=2.0) == 0
             with socket.create_connection(coord.address, timeout=1.0) as intruder:
                 intruder.sendall(_HELLO_0)
                 assert intruder.recv(1) == b""
+            assert _available(coord.joined) == []
             coord.kv_set("agg", True)
             _wait_for(lambda: first.kv_get("agg") is True)
             first.send_weights(0, _TINY_W, 1, 0.5)
@@ -773,7 +864,7 @@ class TestThreadRuntimeAndTcp:
         coord = TcpCoordinator([0, 1], TINY)
         eps = [TcpTrainerEndpoint(coord.address, i, TINY) for i in (0, 1)]
         try:
-            _wait_for(lambda: coord.connected() == [0, 1])
+            assert sorted(coord.joined.get(timeout=2.0) for _ in eps) == [0, 1]
             eps[0].close()
             with pytest.raises(ChannelClosed):
                 coord.recv_weights(0, timeout=1.0)
@@ -846,7 +937,7 @@ class TestThreadRuntimeAndTcp:
         coord = TcpCoordinator([0], TINY)
         ep = TcpTrainerEndpoint(coord.address, 0, TINY)
         try:
-            _wait_for(lambda: coord.connected() == [0])
+            assert coord.joined.get(timeout=2.0) == 0
             coord.kv_set("stop", False)
             _wait_for(lambda: ep.kv_get("stop") is False)
             coord.close()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import struct
 
 import numpy as np
@@ -108,6 +109,11 @@ class TestFeatureAndLabelRoundtrip:
         save_features(x, path)
         with pytest.raises(ParseError, match="record"):
             load_features(path)
+
+    def test_zero_columns_refused_on_save(self, tmp_path):
+        # load_features refuses dim = 0, so save_features must not write it
+        with pytest.raises(ParseError, match="at least one column"):
+            save_features(np.ones((3, 0), dtype=np.float32), tmp_path / "x.tmaf")
 
     def test_labels(self, artifacts, tmp_path):
         y = artifacts[2]
@@ -238,17 +244,42 @@ def _header_cases():
                 yield pytest.param(kind, field, value, id=f"{kind}-field{field}-{value}")
 
 
-@pytest.mark.parametrize("kind,field,value", list(_header_cases()))
-def test_any_header_value_loads_or_raises_parse_error(kind, field, value, artifacts, tmp_path):
-    save, load, fmt = FORMATS[kind]
-    path = tmp_path / kind
-    save(_artifact(kind, artifacts), path)
-    data = bytearray(path.read_bytes())
-    header = list(struct.unpack_from(fmt, data, 4))
-    header[field] = value
-    struct.pack_into(fmt, data, 4, *header)
+def _saved(kind, artifacts, path):
+    """The header fields and the bytes of the fixture's ``kind`` artifact."""
+    FORMATS[kind][0](_artifact(kind, artifacts), path)
+    data = path.read_bytes()
+    return list(struct.unpack_from(FORMATS[kind][2], data, 4)), data
+
+
+def _load_with_header(kind, path, data, header):
+    """Write ``data`` with its header fields replaced by ``header`` and load
+    it: the loader returns or raises ParseError, nothing else."""
+    data = bytearray(data)
+    struct.pack_into(FORMATS[kind][2], data, 4, *header)
     path.write_bytes(bytes(data))
     try:
-        load(path)
+        FORMATS[kind][1](path)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("kind,field,value", list(_header_cases()))
+def test_any_header_value_loads_or_raises_parse_error(kind, field, value, artifacts, tmp_path):
+    header, data = _saved(kind, artifacts, tmp_path / kind)
+    header[field] = value
+    _load_with_header(kind, tmp_path / kind, data, header)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_every_header_combination_loads_or_raises_parse_error(kind, artifacts, tmp_path):
+    fmt = FORMATS[kind][2]
+    saved, data = _saved(kind, artifacts, tmp_path / kind)
+    # a version field keeps its saved value: any other is refused before the
+    # fields after it are read, as the one-field cases show
+    kept = 1 if kind in ("graph", "splits") else 0
+    extremes = [(0, 1, 2 ** (8 * struct.calcsize("<" + code)) - 1) for code in fmt[1 + kept :]]
+    header_only = data[: 4 + struct.calcsize(fmt)]
+    for values in itertools.product(*extremes):
+        # the saved body, and none, which zero counts describe exactly
+        for body in (data, header_only):
+            _load_with_header(kind, tmp_path / kind, body, saved[:kept] + list(values))

@@ -242,7 +242,7 @@ class TestInduceSubgraphs:
         p = partition_random_node(g, 3, seed=1)
         for sub in induce_subgraphs(g, x, p):
             assert np.array_equal(sub.features, x[sub.global_ids])
-            e_local = sub.train_edges
+            e_local = sub.local_graph.edge_array()
             e_global = sub.global_ids[e_local]
             for u, v in e_global[:20]:
                 assert v in g.neighbors(u)
