@@ -222,7 +222,8 @@ def save_weights(w: ModelWeights, path) -> None:
 
 def weights_from_bytes(data: bytes, cfg: ModelConfig, source="weight checkpoint") -> ModelWeights:
     """Parse a checkpoint of ``cfg``'s model: its fingerprint digest and every
-    tensor's name and shape must match the model's."""
+    tensor's name and shape must match the model's. Tensors come back float32,
+    as stored, so float32 weights round-trip bit for bit."""
     return _parse_weights(cfg, None, data, source)
 
 
@@ -247,6 +248,6 @@ def _parse_weights(cfg: ModelConfig, path, data, source) -> ModelWeights:
         if (name, shape) != want:
             raise ParseError(f"{source}: tensor {name[:64]!r} {shape[:8]} is not the model's {want}")
         raw = r.array("<f4", int(np.prod(shape)), f"tensor {name}")
-        tensors[name] = raw.astype(np.float64).reshape(shape)
+        tensors[name] = raw.astype(np.float32).reshape(shape)
     r.expect_end()
     return ModelWeights(fingerprint=fingerprint, tensors=tensors)

@@ -4,8 +4,15 @@ Everything is numpy with hand-written reverse-mode gradients, so the whole
 training stack is deterministic given seeds and checkable against finite
 differences. Neighborhood aggregation is a sparse linear operator from
 source rows to destination rows (``scipy.sparse`` CSR), so its backward
-pass is the product with its transpose. Weights are float64 in memory; the
-checkpoint format (``fileio.weights_to_bytes``) stores float32.
+pass is the product with its transpose.
+
+Compute follows the weights' dtype: ``init_weights`` makes float32 tensors,
+as the checkpoint (``fileio.weights_to_bytes``) stores them, and inputs and
+operators are cast to match, so a training step runs in float32. float64
+weights compute in float64; the gradient checks and ``theory`` use that.
+The step is not FLOP-bound (rows are ``hidden_dim`` wide), so the layer
+primitives are written to make few numpy calls: row means are matvecs,
+column sums are ``ones @ z``.
 """
 
 from __future__ import annotations
@@ -98,11 +105,12 @@ class ModelWeights:
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
 
 
 def init_weights(cfg: ModelConfig) -> ModelWeights:
-    """Seeded Glorot-uniform init; PReLU slopes 0.25, LayerNorm affine identity."""
+    """Seeded Glorot-uniform init; PReLU slopes 0.25, LayerNorm affine identity.
+    Every tensor is float32."""
     rng = np.random.default_rng(cfg.seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in cfg.layout():
@@ -110,11 +118,11 @@ def init_weights(cfg: ModelConfig) -> ModelWeights:
         if kind == "weight":
             tensors[name] = _glorot(rng, *shape)
         elif kind == "ln.gain":
-            tensors[name] = np.ones(shape)
+            tensors[name] = np.ones(shape, np.float32)
         elif kind == "ln.bias":
-            tensors[name] = np.zeros(shape)
+            tensors[name] = np.zeros(shape, np.float32)
         else:
-            tensors[name] = np.full(shape, 0.25)
+            tensors[name] = np.full(shape, 0.25, np.float32)
     return ModelWeights(cfg.fingerprint(), tensors)
 
 
@@ -155,33 +163,42 @@ def full_graph_blocks(g: Graph, layers: int) -> list[Block]:
     return [block] * layers
 
 
-def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, num_src: int) -> sp.csr_matrix:
-    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, num_src))
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, num_src: int) -> sp.csr_array:
+    return sp.csr_array((data, indices, indptr), shape=(len(indptr) - 1, num_src))
 
 
-def _neighbor_mean(indptr: np.ndarray, nbr: np.ndarray, num_src: int) -> sp.csr_matrix:
+def _pick(index: np.ndarray, num_src: int, dtype) -> sp.csr_array:
+    """The (len(index), num_src) operator whose row i is source row ``index[i]``."""
+    rows = np.arange(len(index) + 1)
+    return _csr(np.ones(len(index), dtype), index, rows, num_src)
+
+
+def _neighbor_mean(indptr: np.ndarray, nbr: np.ndarray, num_src: int, dtype=np.float64) -> sp.csr_array:
     """Mean over each destination's neighbors; rows with none aggregate to zero."""
     deg = np.diff(indptr)
-    return _csr(np.repeat(1.0 / np.maximum(deg, 1), deg), nbr, indptr, num_src)
+    weights = (1.0 / np.maximum(deg, 1)).astype(dtype)
+    return _csr(np.repeat(weights, deg), nbr, indptr, num_src)
 
 
-def _aggregation_operators(encoder: str, block: Block) -> list[sp.csr_matrix]:
-    """The (num_dst, num_src) operators whose products, side by side, feed a layer.
+def _aggregation_operators(encoder: str, block: Block, dtype) -> list[sp.csr_array]:
+    """The (num_dst, num_src) operators, in ``dtype``, whose products, side by
+    side, feed a layer.
 
     mlp reads each node's own row, sage its own row and its neighbor mean,
     gcn the mean over its neighbors and itself.
     """
-    rows = np.arange(block.num_dst + 1)
-    select = _csr(np.ones(block.num_dst), block.self_idx, rows, block.num_src)
     if encoder == "mlp":
-        return [select]
+        return [_pick(block.self_idx, block.num_src, dtype)]
     if encoder == "sage":
-        return [select, _neighbor_mean(block.indptr, block.nbr, block.num_src)]
+        return [
+            _pick(block.self_idx, block.num_src, dtype),
+            _neighbor_mean(block.indptr, block.nbr, block.num_src, dtype),
+        ]
     deg = np.diff(block.indptr)
     # each destination's own source row follows its neighbors
     indices = np.insert(block.nbr, block.indptr[1:], block.self_idx)
-    data = np.repeat(1.0 / (deg + 1), deg + 1)
-    return [_csr(data, indices, block.indptr + rows, block.num_src)]
+    data = np.repeat((1.0 / (deg + 1)).astype(dtype), deg + 1)
+    return [_csr(data, indices, block.indptr + np.arange(block.num_dst + 1), block.num_src)]
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
@@ -193,36 +210,43 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 # layer primitives (forward returns a cache consumed by the backward pass)
 
 
+def _row_mean(z):
+    """Mean of each row as one matvec; ``z.mean(axis=1)`` is several times slower."""
+    return (z @ np.full(z.shape[1], 1.0 / z.shape[1], z.dtype))[:, None]
+
+
+def _col_sum(z):
+    return np.ones(z.shape[0], z.dtype) @ z
+
+
 def _layernorm_fwd(z, gain, bias):
-    mu = z.mean(axis=1, keepdims=True)
-    xc = z - mu
-    var = np.mean(xc * xc, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xc = z - _row_mean(z)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + LN_EPS)
     xhat = xc * inv
     return xhat * gain + bias, (xhat, inv, gain)
 
 
 def _layernorm_bwd(grad, cache):
     xhat, inv, gain = cache
-    dgain = np.sum(grad * xhat, axis=0)
-    dbias = np.sum(grad, axis=0)
+    dgain = _col_sum(grad * xhat)
+    dbias = _col_sum(grad)
     dxhat = grad * gain
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = np.mean(dxhat * xhat, axis=1, keepdims=True)
-    dz = inv * (dxhat - m1 - xhat * m2)
+    dz = dxhat - _row_mean(dxhat)
+    dz -= xhat * _row_mean(dxhat * xhat)
+    dz *= inv
     return dz, dgain, dbias
 
 
 def _prelu_fwd(z, slope):
-    a = slope[0]
-    return np.where(z > 0, z, a * z), z
+    """Returns the activation and its cache: the slope at each entry, and the
+    entries where the slope parameter acts (``min(z, 0)``)."""
+    scale = np.where(z > 0, z.dtype.type(1), slope)
+    return z * scale, (scale, np.minimum(z, 0))
 
 
-def _prelu_bwd(grad, z, slope):
-    a = slope[0]
-    dz = grad * np.where(z > 0, 1.0, a)
-    da = np.array([np.sum(grad * np.where(z > 0, 0.0, z))])
-    return dz, da
+def _prelu_bwd(grad, cache):
+    scale, neg = cache
+    return grad * scale, np.array([np.vdot(grad, neg)])
 
 
 # ---------------------------------------------------------------------------
@@ -235,35 +259,36 @@ def encode_with_tape(cfg: ModelConfig, w: ModelWeights, blocks: list[Block], x: 
         raise NnError(f"need {cfg.layers} blocks, got {len(blocks)}")
     if blocks[0].num_src != x.shape[0]:
         raise NnError("feature rows do not match the input frontier")
-    h = np.asarray(x, dtype=np.float64)
+    dtype = w["enc0.weight"].dtype
+    h = np.asarray(x, dtype=dtype)
     tape = []
     for i, block in enumerate(blocks):
-        ops = _aggregation_operators(cfg.encoder, block)
+        ops = _aggregation_operators(cfg.encoder, block, dtype)
         agg = np.hstack([op @ h for op in ops])
         pre = agg @ w[f"enc{i}.weight"]
         out_ln, ln_cache = _layernorm_fwd(pre, w[f"enc{i}.ln.gain"], w[f"enc{i}.ln.bias"])
-        out, pre_act = _prelu_fwd(out_ln, w[f"enc{i}.prelu"])
+        out, act_cache = _prelu_fwd(out_ln, w[f"enc{i}.prelu"])
         _check_finite(out, f"encoder layer {i}")
-        tape.append((ops, agg, ln_cache, pre_act))
+        tape.append((ops, agg, ln_cache, act_cache))
         h = out
     return h, tape
 
 
-def encode_backward(cfg: ModelConfig, w: ModelWeights, tape, grad_emb: np.ndarray, grads: dict):
-    """Accumulate parameter gradients for a previous encode_with_tape call."""
+def encode_backward(cfg: ModelConfig, w: ModelWeights, tape, grad_emb: np.ndarray, grads: dict) -> None:
+    """Accumulate parameter gradients for a previous encode_with_tape call.
+    The gradient with respect to the input features is not computed."""
     grad = grad_emb
     for i in reversed(range(len(tape))):
-        ops, agg, ln_cache, pre_act = tape[i]
-        grad, da = _prelu_bwd(grad, pre_act, w[f"enc{i}.prelu"])
+        ops, agg, ln_cache, act_cache = tape[i]
+        grad, da = _prelu_bwd(grad, act_cache)
         grads[f"enc{i}.prelu"] += da
         grad, dgain, dbias = _layernorm_bwd(grad, ln_cache)
         grads[f"enc{i}.ln.gain"] += dgain
         grads[f"enc{i}.ln.bias"] += dbias
-        weight = w[f"enc{i}.weight"]
         grads[f"enc{i}.weight"] += agg.T @ grad
-        d_agg = grad @ weight.T
-        grad = sum(op.T @ part for op, part in zip(ops, np.split(d_agg, len(ops), axis=1)))
-    return grad
+        if i > 0:
+            d_agg = grad @ w[f"enc{i}.weight"].T
+            grad = sum(op.T @ part for op, part in zip(ops, np.split(d_agg, len(ops), axis=1)))
 
 
 def encode(cfg: ModelConfig, w: ModelWeights, g: Graph, x: np.ndarray) -> np.ndarray:
@@ -288,8 +313,8 @@ def decode_with_tape(cfg: ModelConfig, w: ModelWeights, r_u: np.ndarray, r_v: np
             tape.append(("linear", e))
             e = pre
         else:
-            out, pre_act = _prelu_fwd(pre, w[f"dec{k}.prelu"])
-            tape.append(("act", e, pre_act))
+            out, act_cache = _prelu_fwd(pre, w[f"dec{k}.prelu"])
+            tape.append(("act", e, act_cache))
             e = out
     scores = e[:, 0]
     _check_finite(scores, "decoder output")
@@ -303,8 +328,8 @@ def decode_backward(cfg: ModelConfig, w: ModelWeights, tape, grad_scores: np.nda
         if entry[0] == "linear":
             e_in = entry[1]
         else:
-            _, e_in, pre_act = entry
-            grad, da = _prelu_bwd(grad, pre_act, w[f"dec{k}.prelu"])
+            _, e_in, act_cache = entry
+            grad, da = _prelu_bwd(grad, act_cache)
             grads[f"dec{k}.prelu"] += da
         grads[f"dec{k}.weight"] += e_in.T @ grad
         grad = grad @ w[f"dec{k}.weight"].T
@@ -447,16 +472,20 @@ def link_loss_and_grads(
     pos_v: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, dict]:
-    """BCE loss and parameter gradients for one batch of scored pairs."""
+    """BCE loss and parameter gradients for one batch of scored pairs.
+
+    The gradients have the weights' dtype: the loss is taken in float64 and
+    its gradient cast back to the scores' dtype.
+    """
     emb, tape = encode_with_tape(cfg, w, blocks, x_input)
     r_u, r_v = emb[pos_u], emb[pos_v]
     scores, dec_tape = decode_with_tape(cfg, w, r_u, r_v)
     loss, dscores = loss_bce(scores, labels)
     grads = zero_grads(w)
-    d_ru, d_rv = decode_backward(cfg, w, dec_tape, dscores, grads)
-    d_emb = np.zeros_like(emb)
-    np.add.at(d_emb, pos_u, d_ru)
-    np.add.at(d_emb, pos_v, d_rv)
+    d_ru, d_rv = decode_backward(cfg, w, dec_tape, dscores.astype(scores.dtype), grads)
+    # scatter-add of both endpoints' gradients into their embedding rows
+    pick = _pick(np.concatenate([pos_u, pos_v]), len(emb), emb.dtype)
+    d_emb = pick.T @ np.concatenate([d_ru, d_rv])
     encode_backward(cfg, w, tape, d_emb, grads)
     return loss, grads
 

@@ -174,6 +174,37 @@ def _inputs(prefix):
             "--splits", prefix + ".splits"]
 
 
+@pytest.mark.parametrize(
+    "transport",
+    [[], ["--clock", "real", "--transport", "tcp", "--step-times", "0"]],
+    ids=["sim", "tcp"],
+)
+def test_saved_weights_evaluate_to_the_runs_best_val_mrr(tmp_path, small_cfg, dataset, monkeypatch,
+                                                          capsys, transport):
+    # the checkpoint holds the run's best weights bit for bit, so they evaluate the same
+    calls = []
+
+    def recorded(fn):
+        def run(*args):
+            calls.append((args, fn(*args)))
+            return calls[-1][1]
+
+        return run
+
+    monkeypatch.setattr(cli, "_train", recorded(cli._train))
+    monkeypatch.setattr(cli, "evaluate", recorded(cli.evaluate))
+    weights = str(tmp_path / "best.tmaw")
+    assert run_cli(["train", "--config", str(small_cfg), *_inputs(dataset), *transport,
+                    "--save-weights", weights]) == 0
+    capsys.readouterr()
+    assert run_cli(["eval", "--config", str(small_cfg), "--weights", weights,
+                    *_inputs(dataset), "--split", "val"]) == 0
+    (_, run), ((loaded, *_), evaluated) = calls
+    assert loaded.equal_bits(run.best_weights)
+    assert evaluated.mrr == run.best_val_mrr
+    assert f"mrr={run.best_val_mrr:.6f}" in capsys.readouterr().out
+
+
 class TestFailureSweep:
     def test_sweep_rows(self, tmp_path, small_cfg, dataset):
         prefix = dataset

@@ -183,6 +183,10 @@ class TestLosses:
         assert np.allclose(grad, (z - y) / 2)
 
 
+def float64_weights(w):
+    return ModelWeights(w.fingerprint, {n: t.astype(np.float64) for n, t in w.items()})
+
+
 def relative_gap(a, b):
     denom = max(np.linalg.norm(b), 1e-12)
     return np.linalg.norm(a - b) / denom
@@ -207,7 +211,8 @@ def test_full_model_gradients_match_finite_differences(encoder, decoder_layers, 
         decoder_layers=decoder_layers,
         seed=3,
     )
-    w = init_weights(cfg)
+    # float64, so that central differences resolve the 1e-3 tolerance
+    w = float64_weights(init_weights(cfg))
     rng = np.random.default_rng(1)
     u = rng.integers(0, g.num_nodes, size=5)
     v = rng.integers(0, g.num_nodes, size=5)
@@ -235,6 +240,45 @@ def test_full_model_gradients_match_finite_differences(encoder, decoder_layers, 
             flat[i] = orig
             num.reshape(-1)[i] = (lp - lm) / (2 * eps)
         assert relative_gap(grads[name], num) < 1e-3, name
+
+
+def _dtypes(tree):
+    """dtype of every array (dense or sparse) nested in tuples and lists."""
+    if isinstance(tree, (tuple, list)):
+        return [d for item in tree for d in _dtypes(item)]
+    return [tree.dtype] if hasattr(tree, "dtype") else []
+
+
+@pytest.mark.parametrize("encoder", ["gcn", "sage", "mlp"])
+def test_float32_step_stays_float32(encoder, monkeypatch):
+    # a silent upcast to float64 would pass every other test and undo the speed;
+    # gradients accumulate in place, so the backward passes' inputs are checked too
+    g, x = random_graph(n=30, seed=6)
+    x = x.astype(np.float32)
+    cfg = ModelConfig(in_dim=x.shape[1], encoder=encoder, layers=2, hidden_dim=4, decoder_layers=2)
+    w = init_weights(cfg)
+    u, v = np.arange(0, 10), np.arange(10, 20)
+    labels = (np.arange(10) % 2).astype(float)
+    mfg = build_mfg(g, np.concatenate([u, v]), (2, 2), np.random.default_rng(0))
+    blocks, x_in = mfg.blocks, x[mfg.input_nodes]
+    u, v = mfg.output_positions(u), mfg.output_positions(v)
+
+    seen = []
+    for name in ("encode_with_tape", "encode_backward", "decode_with_tape", "decode_backward"):
+        def recorded(*args, fn=getattr(nn, name)):
+            out = fn(*args)
+            seen.append((args[2:], out))
+            return out
+
+        monkeypatch.setattr(nn, name, recorded)
+    opt = AdamState()
+    nn.link_step(cfg, w, opt, blocks, x_in, u, v, labels)
+    _, grads = link_loss_and_grads(cfg, w, blocks, x_in, u, v, labels)
+
+    found = _dtypes(seen) + _dtypes(list(grads.values()))
+    found += _dtypes([list(w.tensors.values()), list(opt.m.values()), list(opt.v.values())])
+    assert len(seen) == 8 and len(opt.m) == len(opt.v) == len(w.tensors)
+    assert set(found) == {np.dtype(np.float32)}
 
 
 def test_theory_gradient_matches_finite_differences():
@@ -347,8 +391,8 @@ class TestCheckpoint:
         w = init_weights(cfg)
         out = weights_from_bytes(weights_to_bytes(w), cfg)
         assert list(out.tensors) == list(w.tensors)
-        for n, t in w.items():
-            assert np.array_equal(out[n], t.astype(np.float32).astype(np.float64))
+        assert out.equal_bits(w)
+        assert all(t.dtype == np.float32 for _, t in out.items())
 
     def test_bytes_are_pinned(self):
         # checkpoints written before the format moved into fileio must still load

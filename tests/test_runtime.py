@@ -1,4 +1,5 @@
 import logging
+import platform
 
 import pytest
 
@@ -28,6 +29,14 @@ def no_blas(monkeypatch):
     runtime._openblas.cache_clear()
     yield
     runtime._openblas.cache_clear()
+
+
+@pytest.fixture
+def fake_mallopt(monkeypatch):
+    """Installs a stand-in for mallopt (or None), with a fresh per-process cache."""
+    runtime._keep_freed_memory.cache_clear()
+    yield lambda fn: monkeypatch.setattr(runtime, "_find_mallopt", lambda: fn)
+    runtime._keep_freed_memory.cache_clear()
 
 
 def _run(rt, *actors):
@@ -70,3 +79,37 @@ def test_missing_blas_warns_once_and_runs_unpinned(no_blas, caplog):
     warnings = [r for r in caplog.records if r.name == "tma" and r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert "OpenBLAS" in warnings[0].getMessage()
+
+
+@pytest.mark.parametrize("runtime_type", [SimRuntime, ThreadRuntime])
+def test_allocator_thresholds_set_once_per_process(fake_mallopt, runtime_type):
+    calls, done = [], []
+    fake_mallopt(lambda param, value: calls.append((param, value)) or 1)
+    for _ in range(2):
+        _run(runtime_type(), lambda: done.append(True))
+    assert done == [True, True]
+    assert calls == [
+        (runtime.M_MMAP_THRESHOLD, 4 << 20),
+        (runtime.M_TRIM_THRESHOLD, 16 << 20),
+    ]
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["missing", "refused"])
+def test_no_mallopt_warns_once_and_runs(fake_mallopt, caplog, refused):
+    fake_mallopt((lambda param, value: 0) if refused else None)
+    done = []
+    with caplog.at_level(logging.WARNING, logger="tma"):
+        for rt in (SimRuntime(), ThreadRuntime()):
+            _run(rt, lambda: done.append(True))
+    assert done == [True, True]
+    warnings = [r for r in caplog.records if r.name == "tma" and r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "mallopt" in warnings[0].getMessage()
+
+
+def test_glibc_mallopt_accepts_the_thresholds():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("mallopt is glibc's")
+    mallopt = runtime._find_mallopt()
+    assert mallopt(runtime.M_MMAP_THRESHOLD, runtime.MMAP_THRESHOLD) == 1
+    assert mallopt(runtime.M_TRIM_THRESHOLD, runtime.TRIM_THRESHOLD) == 1
