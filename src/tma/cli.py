@@ -4,7 +4,10 @@ theory-check, failure-sweep.
 Every command takes ``--config FILE`` (flat key=value) plus a flag for
 each config key it reads and for no other (``PARTITION_KEYS``,
 ``MODEL_KEYS``, ``RUN_KEYS``); any key can still be set in the file.
-Artifact paths are always explicit flags. Commands exit 0 on success and
+Artifact paths are always explicit flags. Given ``--labels``, ``partition``
+also prints the partition's uniformity: its edge ratio, the largest
+distance between two trainers' label histograms, and the spread of the
+trainers' initial gradients. Commands exit 0 on success and
 1 with a single-line ``error: ...`` on failure (argparse itself exits 2
 on usage errors, an unknown flag among them). The effective config is
 echoed as ``# key=value`` comment lines at the top of every metrics CSV.
@@ -29,9 +32,11 @@ from .evaluate import evaluate
 from .graph import GraphError, build_splits, generate_synthetic
 from .nn import ModelConfig
 from .partition import (
+    PartitionError,
     induce_subgraphs,
     partition_min_cut,
     partition_random_node,
+    partition_stats,
     partition_super_node,
 )
 
@@ -176,10 +181,20 @@ def cmd_split(args) -> int:
 def cmd_partition(args) -> int:
     cfg = _config_from_args(args)
     g = fileio.load_graph(args.graph)
+    y = fileio.load_labels(args.labels) if args.labels else None
+    if y is not None and len(y.labels) != g.num_nodes:
+        raise GraphError(f"labels cover {len(y.labels)} nodes but the graph has {g.num_nodes}")
     part = build_partition(cfg, g)
     fileio.save_partition(part, args.out)
     sizes = part.sizes().tolist()
     print(f"partitioned scheme={cfg.scheme} trainers={cfg.trainers} sizes={sizes} -> {args.out}")
+    if y is not None:
+        stats = partition_stats(g, y, part)
+        print(
+            f"uniformity edge_ratio={stats.edge_ratio:.4f} "
+            f"max_histogram_distance={stats.max_histogram_distance:.4f} "
+            f"gradient_spread={theory.trainer_gradient_spread(g, y, part):.5f}"
+        )
     return 0
 
 
@@ -202,6 +217,11 @@ def _load_training_inputs(args, cfg: ExperimentConfig):
     _check_same_graph(train_graph, features, splits)
     if args.partition:
         part = fileio.load_partition(args.partition)
+        if part.num_trainers != cfg.trainers:
+            raise PartitionError(
+                f"partition file has {part.num_trainers} trainers but the config has "
+                f"trainers = {cfg.trainers}"
+            )
     else:
         part = build_partition(cfg, train_graph)
     subs = induce_subgraphs(train_graph, features, part, splits=splits)
@@ -285,8 +305,10 @@ def cmd_theory_check(args) -> int:
     eta = args.eta
     rows = []
     for h in hs:
-        graphs = [generate_synthetic(2 * eta, args.mean_degree, float(h), seed=seed)
-                  for seed in range(args.seeds)]  # a graph depends on (h, seed), not beta
+        graphs = []
+        for seed in range(args.seeds):  # a graph depends on (h, seed), not beta
+            g, _, y = generate_synthetic(2 * eta, args.mean_degree, float(h), seed=seed)
+            graphs.append((g, y))
         for beta in betas:
             s = theory.TwoClassSetup(beta=float(beta), h=float(h), eta=eta)
             lam = theory.expected_edge_cut(s)
@@ -309,13 +331,13 @@ def cmd_theory_check(args) -> int:
                 except theory.TheoryError:
                     want = None
                 cuts, gaps = [], []
-                for g, x, y in graphs:
+                for g, y in graphs:
                     part = theory.label_aligned_partition(y, float(beta))
-                    cuts.append(theory.empirical_edge_cut(g, part))
+                    cuts.append(partition_stats(g, y, part).cut_edges)
                     if want is None:
                         continue
                     try:
-                        got = theory.empirical_initial_gradients(g, x, y, part)
+                        got = theory.empirical_initial_gradients(g, y, part)
                     except theory.TheoryError:
                         continue
                     gaps.append(max(
@@ -393,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, PARTITION_KEYS)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--labels", help="node labels; prints the partition's uniformity")
     p.set_defaults(fn=cmd_partition)
 
     p = sub.add_parser("train", help="run one distributed training")

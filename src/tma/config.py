@@ -121,6 +121,8 @@ class ExperimentConfig:
             problems.append("classes must be >= 2")
         if self.mean_degree <= 0:
             problems.append("mean_degree must be positive")
+        if not self.feature_noise >= 0:
+            problems.append("feature_noise must be >= 0")
         if self.val_frac < 0 or self.test_frac < 0 or self.val_frac + self.test_frac >= 0.5:
             problems.append("val_frac + test_frac must be < 0.5")
         if self.negatives < 1:

@@ -74,17 +74,14 @@ class Subgraph:
 @dataclass(frozen=True)
 class PartitionStats:
     edge_ratio: float
-    node_counts: np.ndarray
-    edge_counts: np.ndarray
+    cut_edges: int
     label_histograms: np.ndarray  # (M, k) per-partition class fractions
-
-    def pairwise_histogram_distances(self) -> np.ndarray:
-        h = self.label_histograms
-        return np.linalg.norm(h[:, None, :] - h[None, :, :], axis=2)
 
     @property
     def max_histogram_distance(self) -> float:
-        return float(self.pairwise_histogram_distances().max())
+        """Largest l2 distance between two partitions' label histograms."""
+        h = self.label_histograms
+        return float(np.linalg.norm(h[:, None, :] - h[None, :, :], axis=2).max())
 
 
 def partition_random_node(g: Graph, num_trainers: int, seed: int = 0) -> Partition:
@@ -297,24 +294,18 @@ def induce_subgraphs(
 
 
 def partition_stats(train_graph: Graph, y: NodeLabels, partition: Partition) -> PartitionStats:
-    """Edge retention ratio r, per-partition sizes, and label distributions."""
+    """Edge retention ratio r, cross-partition edge count, and label distributions."""
     assignment = partition.assignment
     edges = train_graph.edge_array()
     m = len(edges)
-    same = assignment[edges[:, 0]] == assignment[edges[:, 1]]
-    edge_counts = np.bincount(
-        assignment[edges[same, 0]], minlength=partition.num_trainers
-    )
-    node_counts = partition.sizes()
+    cut = int(np.count_nonzero(assignment[edges[:, 0]] != assignment[edges[:, 1]]))
     hist = np.zeros((partition.num_trainers, y.num_classes))
     for i in range(partition.num_trainers):
         nodes = partition.members(i)
         if len(nodes):
             hist[i] = np.bincount(y.labels[nodes], minlength=y.num_classes) / len(nodes)
-    ratio = float(edge_counts.sum() / m) if m else 1.0
     return PartitionStats(
-        edge_ratio=ratio,
-        node_counts=node_counts,
-        edge_counts=edge_counts,
+        edge_ratio=(m - cut) / m if m else 1.0,
+        cut_edges=cut,
         label_histograms=hist,
     )

@@ -8,18 +8,20 @@ L2 loss, evaluated at zero weights for the gradient statements.
 
 Every closed form here is paired with a Monte Carlo binder that measures
 the same quantity on generated graphs through the real aggregation and
-backprop code, which is what ties the analysis to the running system.
+backprop code, which is what ties the analysis to the running system. The
+binders take labels only and derive the one-hot features from them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .graph import Graph, NodeLabels, generate_synthetic, pair_probability_scale
+from .graph import Graph, NodeLabels, pair_probability_scale
 from .partition import Partition
 
 _SINGULAR_EPS = 1e-12
@@ -157,11 +159,6 @@ def predicted_generator_cut(s: TwoClassSetup, mean_degree: float) -> float:
     return expected_edge_cut(s) * q * s.eta
 
 
-def empirical_edge_cut(g: Graph, p: Partition) -> int:
-    e = g.edge_array()
-    return int(np.sum(p.assignment[e[:, 0]] != p.assignment[e[:, 1]]))
-
-
 def partition_neighbor_view(g: Graph, member_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency restricted to neighbors inside one partition.
 
@@ -176,99 +173,57 @@ def partition_neighbor_view(g: Graph, member_mask: np.ndarray) -> tuple[np.ndarr
     return new_indptr.astype(np.int64), new_indices
 
 
+def _class1_gradient(
+    y: NodeLabels, view: tuple[np.ndarray, np.ndarray], candidates: np.ndarray
+) -> np.ndarray | None:
+    """Zero-weight mean gradient over the class-1 ``candidates`` that have a
+    neighbor in ``view``, or None when there are none.
+
+    Runs the actual linear-model backprop on one-hot features of ``y``.
+    """
+    indptr, indices = view
+    rows = np.nonzero(candidates & (y.labels == 1) & (np.diff(indptr) > 0))[0]
+    if len(rows) == 0:
+        return None
+    x = np.eye(y.num_classes)[y.labels]
+    w = np.zeros((y.num_classes, 1))
+    _, grad = nn.theory_mean_gradient(w, indptr, indices, x, y.labels, rows)
+    return grad[:, 0]
+
+
 def empirical_initial_gradients(
-    g: Graph, x: np.ndarray, y: NodeLabels, p: Partition
+    g: Graph, y: NodeLabels, p: Partition
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measured zero-weight mean gradients of class-1 nodes: global, side 1, side 2.
 
-    Runs the actual linear-model backprop on the generated graph; nodes
-    with no in-scope neighbors are skipped (their neighbor mean is
+    Nodes with no in-scope neighbors are skipped (their neighbor mean is
     undefined in the analysis).
     """
-    w = np.zeros((x.shape[1], 1))
-    targets = y.labels.astype(np.float64)
-    class1 = y.labels == 1
-    out = []
+    everyone = np.ones(g.num_nodes, dtype=bool)
     views = [
         (g.indptr, g.indices),
         partition_neighbor_view(g, p.assignment == 0),
         partition_neighbor_view(g, p.assignment == 1),
     ]
-    for indptr, indices in views:
-        has_nbr = np.diff(indptr) > 0
-        rows = np.nonzero(class1 & has_nbr)[0]
-        if len(rows) == 0:
-            raise TheoryError("no eligible class-1 nodes for gradient measurement")
-        _, grad = nn.theory_mean_gradient(w, indptr, indices, x, targets, rows)
-        out.append(grad[:, 0])
+    out = [_class1_gradient(y, view, everyone) for view in views]
+    if any(grad is None for grad in out):
+        raise TheoryError("no eligible class-1 nodes for gradient measurement")
     return out[0], out[1], out[2]
 
 
-def trainer_gradient_spread(g: Graph, x: np.ndarray, y: NodeLabels, p: Partition) -> float:
+def trainer_gradient_spread(g: Graph, y: NodeLabels, p: Partition) -> float:
     """Max pairwise gap of per-trainer mean initial gradients (class-1 nodes).
 
+    Each trainer sees only its own members and their neighbors among them.
     Trainers whose local view offers no eligible class-1 node are skipped.
     """
-    w = np.zeros((x.shape[1], 1))
-    targets = y.labels.astype(np.float64)
     grads = []
     for i in range(p.num_trainers):
         members = p.assignment == i
-        indptr, indices = partition_neighbor_view(g, members)
-        rows = np.nonzero((y.labels == 1) & members & (np.diff(indptr) > 0))[0]
-        if len(rows) == 0:
-            continue
-        _, grad = nn.theory_mean_gradient(w, indptr, indices, x, targets, rows)
-        grads.append(grad[:, 0])
-    if len(grads) < 2:
-        return 0.0
-    spread = 0.0
-    for a in range(len(grads)):
-        for b in range(a + 1, len(grads)):
-            spread = max(spread, float(np.linalg.norm(grads[a] - grads[b])))
-    return spread
-
-
-@dataclass(frozen=True)
-class UniformityReport:
-    """Random vs min-cut partition uniformity over seeded generated graphs."""
-
-    mean_hist_gap: float
-    hist_gap_sigma: float
-    spread_random: float
-    spread_min_cut: float
-
-
-def random_partition_uniformity_check(
-    num_trainers: int,
-    num_nodes: int,
-    seeds: int,
-    h: float = 0.9,
-    mean_degree: float = 10.0,
-) -> UniformityReport:
-    """Measure the equalizing effect of i.i.d. node assignment.
-
-    Over seeded graphs: the first-component gap between two random
-    partitions' label histograms (mean and its standard error), and the
-    per-trainer initial-gradient spread under random vs min-cut
-    partitioning.
-    """
-    from .partition import partition_min_cut, partition_random_node, partition_stats
-
-    gaps, spread_rand, spread_cut = [], [], []
-    for seed in range(seeds):
-        g, x, y = generate_synthetic(num_nodes, mean_degree, h, seed=seed)
-        p_rand = partition_random_node(g, num_trainers, seed=seed)
-        stats = partition_stats(g, y, p_rand)
-        gaps.append(stats.label_histograms[0, 0] - stats.label_histograms[min(1, num_trainers - 1), 0])
-        spread_rand.append(trainer_gradient_spread(g, x, y, p_rand))
-        p_cut = partition_min_cut(g, num_trainers, seed=seed)
-        spread_cut.append(trainer_gradient_spread(g, x, y, p_cut))
-    gaps = np.asarray(gaps)
-    sigma = float(gaps.std(ddof=1) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
-    return UniformityReport(
-        mean_hist_gap=float(gaps.mean()),
-        hist_gap_sigma=sigma,
-        spread_random=float(np.mean(spread_rand)),
-        spread_min_cut=float(np.mean(spread_cut)),
+        grad = _class1_gradient(y, partition_neighbor_view(g, members), members)
+        if grad is not None:
+            grads.append(grad)
+    return max(
+        (float(np.linalg.norm(a - b)) for a, b in itertools.combinations(grads, 2)),
+        default=0.0,
     )

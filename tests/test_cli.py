@@ -15,6 +15,9 @@ from tma.fileio import save_weights
 from tma.nn import init_weights
 
 
+DESK10K = Path(__file__).resolve().parents[1] / "configs" / "desk10k.cfg"
+
+
 def run_cli(args):
     return main(list(args))
 
@@ -65,6 +68,10 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             ExperimentConfig.from_sources(None, {"nope": 1})
+
+    def test_negative_feature_noise_rejected(self):
+        with pytest.raises(ConfigError, match="feature_noise must be >= 0"):
+            ExperimentConfig.from_sources(None, {"feature_noise": -0.5})
 
 
 class TestPipeline:
@@ -205,6 +212,65 @@ def test_saved_weights_evaluate_to_the_runs_best_val_mrr(tmp_path, small_cfg, da
     assert f"mrr={run.best_val_mrr:.6f}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["train", "failure-sweep"])
+@pytest.mark.parametrize("part_trainers", [1, 3])  # small_cfg has 2 trainers
+def test_partition_file_with_other_trainer_count_single_line(tmp_path, small_cfg, dataset, capsys,
+                                                             command, part_trainers):
+    part = str(tmp_path / "other.part")
+    assert run_cli(["partition", "--config", str(small_cfg), "--trainers", str(part_trainers),
+                    "--graph", dataset + ".train.graph", "--out", part]) == 0
+    capsys.readouterr()
+    args = [command, "--config", str(small_cfg), *_inputs(dataset), "--partition", part]
+    if command == "failure-sweep":
+        args += ["--out", str(tmp_path / "sweep.csv")]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"error: partition file has {part_trainers} trainers "
+                   "but the config has trainers = 2")
+
+
+@pytest.fixture(scope="module")
+def desk10k(tmp_path_factory):
+    """Path prefix of configs/desk10k.cfg's generated and split graph."""
+    prefix = str(tmp_path_factory.mktemp("desk10k") / "data")
+    assert run_cli(["generate", "--config", str(DESK10K), "--out", prefix]) == 0
+    assert run_cli(["split", "--config", str(DESK10K), "--graph", prefix + ".graph",
+                    "--out", prefix]) == 0
+    return prefix
+
+
+class TestPartitionUniformity:
+    # random partitions keep the fewest edges and are the most uniform
+    REPORTS = {
+        "random": "edge_ratio=0.3334 max_histogram_distance=0.0210 gradient_spread=0.00288",
+        "super": "edge_ratio=0.5146 max_histogram_distance=0.2476 gradient_spread=0.01047",
+        "mincut": "edge_ratio=0.6121 max_histogram_distance=1.0405 gradient_spread=0.04454",
+    }
+
+    @pytest.mark.parametrize("scheme", list(REPORTS))
+    def test_labels_print_the_report(self, tmp_path, desk10k, capsys, scheme):
+        args = ["partition", "--config", str(DESK10K), "--scheme", scheme,
+                "--graph", desk10k + ".train.graph", "--out", str(tmp_path / "p.part")]
+        assert run_cli(args) == 0
+        plain = capsys.readouterr().out
+        assert run_cli(args + ["--labels", desk10k + ".labels"]) == 0
+        assert capsys.readouterr().out == plain + f"uniformity {self.REPORTS[scheme]}\n"
+
+    @pytest.mark.parametrize("nodes", [120, 400])  # the graph has 300
+    def test_labels_of_another_graph_single_line(self, tmp_path, small_cfg, dataset, capsys, nodes):
+        other = str(tmp_path / "other")
+        assert run_cli(["generate", "--config", str(small_cfg), "--nodes", str(nodes),
+                        "--out", other]) == 0
+        capsys.readouterr()
+        out = tmp_path / "p.part"
+        rc = run_cli(["partition", "--config", str(small_cfg), "--graph", dataset + ".train.graph",
+                      "--labels", other + ".labels", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: labels cover {nodes} nodes but the graph has 300"
+        assert not out.exists()
+
+
 class TestFailureSweep:
     def test_sweep_rows(self, tmp_path, small_cfg, dataset):
         prefix = dataset
@@ -276,7 +342,7 @@ class TestFlagsPerCommand:
             name: sum(len(a.option_strings) for a in p._actions if a.dest != "help")
             for name, p in sub.choices.items()
         }
-        assert counts == {"generate": 8, "split": 7, "partition": 7, "train": 28, "eval": 11,
+        assert counts == {"generate": 8, "split": 7, "partition": 8, "train": 28, "eval": 11,
                           "theory-check": 6, "failure-sweep": 27}
 
     @pytest.mark.parametrize("key", ["lr", "negatives"])

@@ -19,10 +19,7 @@ SRC = ROOT / "src" / "tma"
 PATCH_TARGET = re.compile(r"^tma\.\w+:([\w.]+)$")
 
 ALLOWED = {
-    "fileio.load_labels": "perfbench builds its patch target at run time, as tma.fileio:{verb}_{kind}",
     "ModelWeights.equal_bits": "the determinism tests compare weights bit for bit with it",
-    "PartitionStats.max_histogram_distance": "the planned per-scheme uniformity report calls it",
-    "theory.random_partition_uniformity_check": "the planned per-scheme uniformity report calls it",
     "theory.expected_local_loss": "the planned theory-check loss-gap column calls it",
 }
 

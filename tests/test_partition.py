@@ -224,7 +224,7 @@ class TestInduceSubgraphs:
         p = partition_random_node(g, 3, seed=4)
         subs = induce_subgraphs(g, x, p)
         stats = partition_stats(g, y, p)
-        assert sum(s.num_edges for s in subs) == stats.edge_counts.sum()
+        assert sum(s.num_edges for s in subs) == g.num_edges - stats.cut_edges
         assert sum(s.num_edges for s in subs) / g.num_edges == stats.edge_ratio
 
     def test_path_split(self):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from tma.graph import generate_synthetic
+from tma.partition import partition_min_cut, partition_random_node, partition_stats
 from tma.theory import (
     TheoryError,
     TwoClassSetup,
     argmin_edge_cut_beta,
-    empirical_edge_cut,
     empirical_initial_gradients,
     expected_edge_cut,
     expected_initial_gradients,
@@ -16,7 +16,6 @@ from tma.theory import (
     gradient_discrepancies,
     label_aligned_partition,
     predicted_generator_cut,
-    random_partition_uniformity_check,
     trainer_gradient_spread,
 )
 
@@ -154,7 +153,7 @@ class TestMonteCarloBinders:
         cuts = []
         for seed in range(20):
             g, _, y = generate_synthetic(1000, 10.0, 0.8, seed=seed)
-            cuts.append(empirical_edge_cut(g, label_aligned_partition(y, 1.0)))
+            cuts.append(partition_stats(g, y, label_aligned_partition(y, 1.0)).cut_edges)
         assert abs(np.mean(cuts) - predicted) / predicted < 0.03
 
     def test_initial_gradients_match_closed_forms(self):
@@ -163,22 +162,31 @@ class TestMonteCarloBinders:
         acc = np.zeros((3, 2))
         seeds = 10
         for seed in range(seeds):
-            g, x, y = generate_synthetic(2000, 10.0, 0.8, seed=seed)
+            g, _, y = generate_synthetic(2000, 10.0, 0.8, seed=seed)
             p = label_aligned_partition(y, 0.9)
-            got = empirical_initial_gradients(g, x, y, p)
+            got = empirical_initial_gradients(g, y, p)
             acc += np.stack(got)
         acc /= seeds
         for got, want in zip(acc, (want_g, want_1, want_2)):
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 0.02
 
     def test_gradient_spread_zero_for_single_trainer(self):
-        g, x, y = generate_synthetic(400, 8.0, 0.9, seed=0)
-        from tma.partition import partition_random_node
-
+        g, _, y = generate_synthetic(400, 8.0, 0.9, seed=0)
         p = partition_random_node(g, 1, seed=0)
-        assert trainer_gradient_spread(g, x, y, p) == 0.0
+        assert trainer_gradient_spread(g, y, p) == 0.0
 
     def test_uniformity_report_orders_spreads(self):
-        report = random_partition_uniformity_check(3, 2000, seeds=3, h=0.9)
-        assert abs(report.mean_hist_gap) < max(3 * report.hist_gap_sigma, 0.05)
-        assert report.spread_min_cut > report.spread_random
+        # random partitions' label histograms agree, and their gradients
+        # spread less than min-cut partitions'
+        gaps, spread_random, spread_min_cut = [], [], []
+        for seed in range(3):
+            g, _, y = generate_synthetic(2000, 10.0, 0.9, seed=seed)
+            p_random = partition_random_node(g, 3, seed=seed)
+            hist = partition_stats(g, y, p_random).label_histograms
+            gaps.append(hist[0, 0] - hist[1, 0])
+            spread_random.append(trainer_gradient_spread(g, y, p_random))
+            p_min_cut = partition_min_cut(g, 3, seed=seed)
+            spread_min_cut.append(trainer_gradient_spread(g, y, p_min_cut))
+        sigma = np.std(gaps, ddof=1) / math.sqrt(len(gaps))
+        assert abs(np.mean(gaps)) < max(3 * sigma, 0.05)
+        assert np.mean(spread_min_cut) > np.mean(spread_random)
