@@ -27,13 +27,19 @@ and the ggs loop differ only in how they reach the end of a round.
 
 Everything runs against injected clock/channel primitives, so the same
 protocol code executes on real threads, over TCP, or inside the
-deterministic simulation used by the acceptance tests.
+deterministic simulation used by the acceptance tests. The server and the
+evaluator are always actors of the runtime, and so are in-process trainers.
+TCP trainers are forked processes (``run_training``): their steps do not
+share the server's interpreter lock, and each sends its ``TrainerLog``, or
+its error, back over a pipe.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import multiprocessing
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +49,15 @@ from .evaluate import evaluate
 from .graph import EdgeSplits, Graph
 from .nn import AdamState, ModelConfig, ModelWeights, aggregate_average, init_weights
 from .partition import Subgraph
-from .runtime import ChannelClosed, ChannelTimeout, SimRuntime, ThreadRuntime
+from .runtime import (
+    ChannelClosed,
+    ChannelTimeout,
+    RealClock,
+    SimRuntime,
+    ThreadRuntime,
+    _keep_freed_memory,
+    _one_blas_thread,
+)
 from .sampling import sample_minibatch
 from .transport import InProcTransports, TcpCoordinator, TcpTrainerEndpoint
 
@@ -52,6 +66,9 @@ LOSS_EMA_ALPHA = 0.1
 IDLE_POLL = 0.05
 # validation evaluations in flight at once; a round closed beyond it is not scored
 EVAL_QUEUE_LIMIT = 64
+# seconds run_training waits, once its server is done, for the TCP trainer
+# processes to report and exit before it kills them
+TRAINER_EXIT_TIMEOUT = 10.0
 
 
 class ProtocolError(RuntimeError):
@@ -419,6 +436,70 @@ def run_ggs(
 # harness: wire runtime + transport + actors and run to completion
 
 
+def _trainer_process(spec: TrainerSpec, cfg: RunConfig, address, report) -> None:
+    """Body of a forked TCP trainer: train, then send ``("log", TrainerLog)``
+    or ``("error", exception)`` up the ``report`` pipe."""
+    _keep_freed_memory()
+    log = TrainerLog(trainer_id=spec.trainer_id)
+    try:
+        with _one_blas_thread():
+            endpoint = TcpTrainerEndpoint(address, spec.trainer_id, cfg.model)
+            run_trainer(spec, cfg, endpoint, RealClock(), log)
+    except ChannelClosed:
+        pass  # the server hung up mid-round: a normal end, as for a thread trainer
+    except BaseException as exc:
+        report.send(("error", exc))
+        return
+    report.send(("log", log))
+
+
+def _fork_trainer(spec: TrainerSpec, cfg: RunConfig, address):
+    """Start one TCP trainer as a forked process; returns (id, process, pipe)."""
+    ctx = multiprocessing.get_context("fork")
+    pipe, report = ctx.Pipe(duplex=False)
+    proc = ctx.Process(
+        target=_trainer_process, args=(spec, cfg, address, report),
+        name=f"trainer-{spec.trainer_id}", daemon=True,
+    )
+    proc.start()
+    report.close()  # the child holds the only write end: its exit is the pipe's EOF
+    return spec.trainer_id, proc, pipe
+
+
+def _reap_trainers(trainers) -> dict[int, TrainerLog]:
+    """Read each trainer process's report, then join it; one still running at
+    ``TRAINER_EXIT_TIMEOUT`` is killed. Returns the logs once every process
+    has exited; raises the first trainer's error, or a ProtocolError for a
+    trainer that exited without reporting."""
+    deadline = time.monotonic() + TRAINER_EXIT_TIMEOUT
+    reports = {}
+    try:
+        for trainer_id, proc, pipe in trainers:
+            # read before joining: a long run's log overfills the pipe buffer,
+            # and its child blocks in send until it is read
+            with contextlib.suppress(EOFError):
+                if pipe.poll(max(0.0, deadline - time.monotonic())):
+                    reports[trainer_id] = pipe.recv()
+            proc.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        for _, proc, pipe in trainers:
+            pipe.close()
+            if proc.exitcode is None:
+                proc.kill()
+            proc.join()
+    logs = {}
+    for trainer_id, proc, _ in trainers:
+        kind, value = reports.get(trainer_id, (None, None))
+        if kind == "error":
+            raise value
+        if kind is None:
+            raise ProtocolError(
+                f"trainer {trainer_id} exited with code {proc.exitcode} without reporting"
+            )
+        logs[trainer_id] = value
+    return logs
+
+
 def run_training(
     cfg: RunConfig,
     specs: list[TrainerSpec],
@@ -429,7 +510,8 @@ def run_training(
     transport: str = "inproc",
     tcp_host: str = "127.0.0.1",
 ) -> RunResult:
-    """Run one full training (tma or ggs mode) and return the server result."""
+    """Run one full training (tma or ggs mode) and return the server result.
+    TCP trainers run as forked processes (module docstring)."""
     if not specs:
         raise ProtocolError("need at least one trainer spec")
     ids = [s.trainer_id for s in specs]
@@ -451,6 +533,7 @@ def run_training(
 
     result_box: dict[str, RunResult] = {}
     server_ep = None
+    trainers = []  # forked TCP trainers: (id, process, report pipe)
 
     def loop_actor(loop, *args):
         try:
@@ -460,34 +543,42 @@ def run_training(
             if server_ep is not None:
                 server_ep.close()
 
-    if cfg.mode == "ggs":
-        rt.spawn(
-            "ggs", loop_actor, run_ggs, cfg, specs, train_graph, features,
-            initial, rt.clock, eval_jobs, eval_results,
-        )
-    else:
-        logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
-        if transport == "inproc":
-            server_ep = InProcTransports(rt, ids)
-            trainer_ep = server_ep.trainer_endpoint
+    try:
+        if cfg.mode == "ggs":
+            rt.spawn(
+                "ggs", loop_actor, run_ggs, cfg, specs, train_graph, features,
+                initial, rt.clock, eval_jobs, eval_results,
+            )
         else:
-            server_ep = TcpCoordinator(ids, cfg.model, host=tcp_host)
+            server_ep = (
+                InProcTransports(rt, ids) if transport == "inproc"
+                else TcpCoordinator(ids, cfg.model, host=tcp_host)
+            )
+            rt.spawn(
+                "server", loop_actor, run_server, cfg, server_ep, initial, rt.clock,
+                eval_jobs, eval_results,
+            )
+            if transport == "inproc":
+                logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
 
-            def trainer_ep(trainer_id):
-                return TcpTrainerEndpoint(server_ep.address, trainer_id, cfg.model)
+                def trainer_actor(spec):
+                    endpoint = server_ep.trainer_endpoint(spec.trainer_id)
+                    run_trainer(spec, cfg, endpoint, rt.clock, logs[spec.trainer_id])
 
-        def trainer_actor(spec):
-            endpoint = trainer_ep(spec.trainer_id)
-            run_trainer(spec, cfg, endpoint, rt.clock, logs[spec.trainer_id])
-
-        rt.spawn(
-            "server", loop_actor, run_server, cfg, server_ep, initial, rt.clock,
-            eval_jobs, eval_results,
-        )
-        for spec in specs:
-            rt.spawn(f"trainer-{spec.trainer_id}", trainer_actor, spec)
-    rt.spawn("evaluator", run_evaluator, eval_jobs, eval_results, eval_fn)
-    rt.run_all()
+                for spec in specs:
+                    rt.spawn(f"trainer-{spec.trainer_id}", trainer_actor, spec)
+            else:
+                # fork before this training starts a thread: the trainers'
+                # connections wait in the listen backlog until accepting starts
+                for spec in specs:
+                    trainers.append(_fork_trainer(spec, cfg, server_ep.address))
+                server_ep.start()
+        rt.spawn("evaluator", run_evaluator, eval_jobs, eval_results, eval_fn)
+        rt.run_all()
+    finally:
+        if trainers:
+            server_ep.close()  # a trainer whose server is gone stops after its step
+            logs = _reap_trainers(trainers)
 
     result = result_box.get("result")
     if result is None:

@@ -424,8 +424,9 @@ def adam_step(state: AdamState, w: ModelWeights, grads: dict, lr: float) -> Mode
     c2 = 1.0 - b2**state.t
     for name, _ in w.items():
         g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(g))
-        v = state.v.setdefault(name, np.zeros_like(g))
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
+        m, v = state.m[name], state.v[name]
         m *= b1
         m += (1 - b1) * g
         v *= b2

@@ -6,7 +6,10 @@ The flag store the server and trainers share belongs to the transports
 (``transport.KvStore``). Two runtimes provide the clock and the channels:
 
 * ``ThreadRuntime`` - real threads, monotonic wall clock, queue-backed
-  channels. What production runs use. While its actors run, numpy's
+  channels. What production runs use: the server, the evaluator and
+  in-process trainers are its threads, while TCP trainers are forked
+  processes of their own (``coordination.run_training``) that pin BLAS and
+  set malloc as below themselves. While its actors run, numpy's
   OpenBLAS is pinned to one thread, so parallel actors do not each start a
   BLAS thread per core and oversubscribe the cores; the old count is put
   back when ``run_all`` returns.

@@ -1,11 +1,11 @@
 """Server/trainer message transports.
 
 Two interchangeable implementations of the same endpoint API: in-process
-channels (works under both the thread and sim runtimes; weights travel as
-value copies) and length-prefixed TCP framing on loopback, one socket per
-trainer thread. Either way a trainer's round report is one message,
-``send_weights(round, weights, steps, loss)``, which the server reads back
-as the tuple ``recv_weights(i) -> (round, weights, steps, loss)``.
+channels for trainer threads (works under both the thread and sim runtimes;
+weights travel as value copies) and length-prefixed TCP framing on loopback,
+one socket per trainer process. Either way a trainer's round report is one
+message, ``send_weights(round, weights, steps, loss)``, which the server
+reads back as the tuple ``recv_weights(i) -> (round, weights, steps, loss)``.
 
 Liveness is the transport's job: each trainer id arrives once on the server
 endpoint's ``joined`` channel, when its endpoint connects. Flags flow one
@@ -188,7 +188,11 @@ def recv_frame(sock: socket.socket):
 class TcpCoordinator:
     """Server side of the TCP transport: listener and per-connection readers.
     A connection's HELLO claims its trainer id, which then joins; kv_set
-    pushes to all."""
+    pushes to all.
+
+    Construction binds and listens; ``start`` begins accepting. In between,
+    connections wait in the listen backlog, so trainer processes can be
+    forked from a process that has not started a thread yet."""
 
     def __init__(self, trainer_ids, model: ModelConfig, host: str = "127.0.0.1", port: int = 0):
         self.trainer_ids = sorted(trainer_ids)
@@ -196,9 +200,15 @@ class TcpCoordinator:
         self._model = model
         self._inbox = {i: ThreadChannel() for i in self.trainer_ids}
         self._conns: dict[int, tuple[socket.socket, threading.Lock]] = {}
+        self._accepted: list[socket.socket] = []  # every connection, claimed or not
+        self._closed = False
+        self._lock = threading.Lock()
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
+
+    def start(self) -> "TcpCoordinator":
         threading.Thread(target=self._accept_loop, daemon=True).start()
+        return self
 
     def _accept_loop(self):
         while True:
@@ -206,6 +216,11 @@ class TcpCoordinator:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
+            with self._lock:  # a connection accepted as close() runs is hung up too
+                if self._closed:
+                    _hang_up(conn)
+                    return
+                self._accepted.append(conn)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             threading.Thread(target=self._reader_loop, args=(conn,), daemon=True).start()
 
@@ -259,8 +274,10 @@ class TcpCoordinator:
         self._send(trainer_id, MSG_GLOBAL_WEIGHTS, round_t, weights_to_bytes(weights))
 
     def close(self):
+        with self._lock:
+            self._closed = True
         _hang_up(self._listener)
-        for conn, _ in list(self._conns.values()):
+        for conn in self._accepted:
             _hang_up(conn)
 
 

@@ -1,5 +1,8 @@
 import contextlib
 import math
+import multiprocessing
+import os
+import signal
 import socket
 import struct
 import sys
@@ -729,14 +732,22 @@ class TestThreadRuntimeAndTcp:
         assert 0 < res.test_mrr <= 1
 
     def test_tcp_transport_end_to_end(self, monkeypatch):
-        frames = []
-        real_send_frame = transport.send_frame
+        # the trainers are processes: what they send is counted where the
+        # server receives it, what the server pushes where it sends it
+        sent, received = [], []
+        real_send_frame, real_recv_frame = transport.send_frame, transport.recv_frame
 
         def counting_send_frame(sock, msg_type, round_t, trainer, payload=b""):
-            frames.append((threading.current_thread().name, msg_type, trainer, payload))
+            sent.append((threading.current_thread().name, msg_type, trainer, payload))
             real_send_frame(sock, msg_type, round_t, trainer, payload)
 
+        def counting_recv_frame(sock):
+            frame = real_recv_frame(sock)
+            received.append(frame)
+            return frame
+
         monkeypatch.setattr(transport, "send_frame", counting_send_frame)
+        monkeypatch.setattr(transport, "recv_frame", counting_recv_frame)
         train, x, y, splits = make_dataset(seed=16, n=120)
         specs = make_specs(train, x, 2, step_time=0.0)
         cfg = RunConfig(
@@ -755,18 +766,20 @@ class TestThreadRuntimeAndTcp:
             assert all(n > 0 for n in row.steps.values())
             assert all(math.isfinite(v) for v in row.loss.values())
         # flags are pushed per round, not polled per step
-        assert len(frames) <= 8 * len(specs) * (res.rounds + 2)
-        assert len(frames) < sum(log.steps for log in res.trainer_logs.values())
+        frames = len(sent) + len(received)
+        assert frames <= 8 * len(specs) * (res.rounds + 2)
+        assert frames < sum(log.steps for log in res.trainer_logs.values())
         # a trainer sends one HELLO, then one WEIGHTS frame per round and no flags
-        by_trainers = [(name, t, i) for name, t, i, _ in frames if name.startswith("trainer-")]
-        hellos = sorted((name, i) for name, t, i in by_trainers if t == MSG_HELLO)
-        assert hellos == [("trainer-0", 0), ("trainer-1", 1)]
-        assert {t for _, t, _ in by_trainers} == {MSG_HELLO, MSG_WEIGHTS}
+        hellos = sorted(trainer for msg_type, _, trainer, _ in received if msg_type == MSG_HELLO)
+        assert hellos == [0, 1]
+        assert {msg_type for msg_type, _, _, _ in received} == {MSG_HELLO, MSG_WEIGHTS}
         sends = sum(len(log.send_rounds) for log in res.trainer_logs.values())
-        assert [t for _, t, _, _ in frames].count(MSG_WEIGHTS) == sends
+        assert [msg_type for msg_type, _, _, _ in received].count(MSG_WEIGHTS) == sends
+        # the trainers run in processes of their own: this one sends only the server's frames
+        assert {name for name, _, _, _ in sent} == {"server"}
         # the server pushes agg up and down once per round, then stop, to both
         # trainers; it never pushes a flag's initial False
-        pushes = [(name, p) for name, t, _, p in frames if t == MSG_KV_SET]
+        pushes = [(name, p) for name, t, _, p in sent if t == MSG_KV_SET]
         per_round = [b"agg\x00\x01"] * 2 + [b"agg\x00\x00"] * 2
         assert pushes == [("server", p) for p in per_round * res.rounds + [b"stop\x00\x01"] * 2]
 
@@ -823,7 +836,7 @@ class TestThreadRuntimeAndTcp:
         errors = []
         monkeypatch.setattr(threading, "excepthook", errors.append)
         before = set(threading.enumerate())
-        coord = TcpCoordinator([0, 1], TINY)
+        coord = TcpCoordinator([0, 1], TINY).start()
         try:
             with socket.create_connection(coord.address, timeout=1.0) as peer:
                 peer.sendall(b"".join(frames))
@@ -843,8 +856,18 @@ class TestThreadRuntimeAndTcp:
                 assert not thread.is_alive()
         assert errors == []
 
+    def test_close_hangs_up_a_connection_before_its_hello(self):
+        coord = TcpCoordinator([0], TINY).start()
+        try:
+            with socket.create_connection(coord.address, timeout=1.0) as peer:
+                _wait_for(lambda: coord._accepted)
+                coord.close()
+                assert peer.recv(1) == b""  # EOF within the 1 s timeout
+        finally:
+            coord.close()
+
     def test_second_claim_of_a_trainer_id_is_refused(self):
-        coord = TcpCoordinator([0], TINY)
+        coord = TcpCoordinator([0], TINY).start()
         first = TcpTrainerEndpoint(coord.address, 0, TINY)
         try:
             assert coord.joined.get(timeout=2.0) == 0
@@ -861,7 +884,7 @@ class TestThreadRuntimeAndTcp:
             coord.close()
 
     def test_kv_set_skips_a_closed_trainer(self):
-        coord = TcpCoordinator([0, 1], TINY)
+        coord = TcpCoordinator([0, 1], TINY).start()
         eps = [TcpTrainerEndpoint(coord.address, i, TINY) for i in (0, 1)]
         try:
             assert sorted(coord.joined.get(timeout=2.0) for _ in eps) == [0, 1]
@@ -884,7 +907,7 @@ class TestThreadRuntimeAndTcp:
             batch_size=8, fanouts=(2, 2),
         )
         w = init_weights(cfg.model)
-        coord = TcpCoordinator([0, 1], cfg.model)
+        coord = TcpCoordinator([0, 1], cfg.model).start()
         jobs, results = ThreadChannel(), ThreadChannel()
         box = {}
         server = threading.Thread(
@@ -917,7 +940,7 @@ class TestThreadRuntimeAndTcp:
         assert box["result"].rounds >= 2
 
     def test_weights_frame_carries_the_report(self):
-        coord = TcpCoordinator([0], TINY)
+        coord = TcpCoordinator([0], TINY).start()
         ep = TcpTrainerEndpoint(coord.address, 0, TINY)
         try:
             ep.send_weights(3, _TINY_W, 7, 0.25)
@@ -934,7 +957,7 @@ class TestThreadRuntimeAndTcp:
             coord.close()
 
     def test_trainer_stops_when_the_server_goes(self):
-        coord = TcpCoordinator([0], TINY)
+        coord = TcpCoordinator([0], TINY).start()
         ep = TcpTrainerEndpoint(coord.address, 0, TINY)
         try:
             assert coord.joined.get(timeout=2.0) == 0
@@ -986,6 +1009,96 @@ class TestThreadRuntimeAndTcp:
         )
         with pytest.raises(ProtocolError):
             run_training(cfg, specs, train, x, splits, runtime="sim", transport="tcp")
+
+
+def _tcp_training(seed=19):
+    train, x, y, splits = make_dataset(seed=seed, n=120)
+    specs = make_specs(train, x, 2, step_time=0.0)
+    cfg = RunConfig(
+        model=small_model(x), train_budget=1.2, agg_interval=0.3,
+        batch_size=8, fanouts=(2, 2),
+    )
+    return lambda: run_training(cfg, specs, train, x, splits, runtime="threads", transport="tcp")
+
+
+def _trainer_that(monkeypatch, trainer_id, act, after_steps=5):
+    """Make one trainer run ``act()`` in its own process after some steps."""
+    real_run_trainer = coordination.run_trainer
+
+    class Clock(RealClock):
+        steps = 0
+
+        def sleep(self, seconds):  # called once per step, with step_time 0
+            self.steps += 1
+            if self.steps == after_steps:
+                act()
+            super().sleep(seconds)
+
+    def run_trainer(spec, cfg, endpoint, clock, log):
+        if spec.trainer_id == trainer_id:
+            clock = Clock()
+        real_run_trainer(spec, cfg, endpoint, clock, log)
+
+    monkeypatch.setattr(coordination, "run_trainer", run_trainer)
+
+
+class TestTcpTrainerProcesses:
+    """TCP trainers are forked processes; none outlives run_training."""
+
+    def test_logs_come_back_from_the_processes(self):
+        t0 = time.monotonic()
+        res = _tcp_training()()
+        t1 = time.monotonic()
+        assert sorted(res.trainer_logs) == [0, 1]
+        for log in res.trainer_logs.values():
+            assert log.steps > 0
+            assert len(log.step_times) == log.steps
+            assert log.step_times == sorted(log.step_times)
+            # CLOCK_MONOTONIC is system-wide: a child's stamps fall inside this call
+            assert t0 <= log.step_times[0] and log.step_times[-1] <= t1
+            assert [r for r, _ in log.send_rounds] == list(range(res.rounds))
+        assert multiprocessing.active_children() == []
+
+    def test_a_trainer_error_is_raised(self, monkeypatch):
+        def fail():
+            raise ValueError("trainer 1 broke")
+
+        _trainer_that(monkeypatch, 1, fail)
+        with pytest.raises(ValueError, match="trainer 1 broke"):
+            _tcp_training()()
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_trainer_is_named(self, monkeypatch):
+        _trainer_that(monkeypatch, 0, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(ProtocolError, match=r"trainer 0 exited with code -9 without reporting"):
+            _tcp_training()()
+        assert multiprocessing.active_children() == []
+
+    def test_a_trainer_that_does_not_exit_is_killed(self, monkeypatch):
+        real_run_trainer = coordination.run_trainer
+
+        def run_trainer(spec, cfg, endpoint, clock, log):
+            real_run_trainer(spec, cfg, endpoint, clock, log)
+            if spec.trainer_id == 1:
+                time.sleep(30)  # stopped, but never reports
+
+        monkeypatch.setattr(coordination, "run_trainer", run_trainer)
+        monkeypatch.setattr(coordination, "TRAINER_EXIT_TIMEOUT", 0.5)
+        with pytest.raises(ProtocolError, match=r"trainer 1 exited with code -9 without reporting"):
+            _tcp_training()()
+        assert multiprocessing.active_children() == []
+
+    def test_a_server_error_is_raised_and_the_trainers_stop(self, monkeypatch):
+        def aggregate_average(weight_sets):
+            raise ProtocolError("aggregation broke")
+
+        monkeypatch.setattr(coordination, "aggregate_average", aggregate_average)
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match="aggregation broke"):
+            _tcp_training()()
+        # the trainers saw the server hang up; none waited out the exit timeout
+        assert time.monotonic() - t0 < coordination.TRAINER_EXIT_TIMEOUT
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan])
