@@ -32,6 +32,15 @@ evaluator are always actors of the runtime, and so are in-process trainers.
 TCP trainers are forked processes (``run_training``): their steps do not
 share the server's interpreter lock, and each sends its ``TrainerLog``, or
 its error, back over a pipe.
+
+Under the sim, the evaluator actor hands each job to a forked evaluator
+process and queues a handle to its score at once, and the round book reads
+the scores in queue order when it drains. The sim schedule and every score
+stay as they were with an in-process evaluator, while the evaluations run
+beside the actors instead of on their single token. The loops drain once a
+round, before its close, so a round's score has had the whole next
+round to arrive. Both runtimes pin BLAS to one thread while their actors
+run, and every forked process pins its own.
 """
 
 from __future__ import annotations
@@ -66,9 +75,9 @@ LOSS_EMA_ALPHA = 0.1
 IDLE_POLL = 0.05
 # validation evaluations in flight at once; a round closed beyond it is not scored
 EVAL_QUEUE_LIMIT = 64
-# seconds run_training waits, once its server is done, for the TCP trainer
-# processes to report and exit before it kills them
-TRAINER_EXIT_TIMEOUT = 10.0
+# seconds run_training waits, once its run is done, for its forked trainer or
+# evaluator processes to report and exit before it kills them
+CHILD_EXIT_TIMEOUT = 10.0
 
 
 class ProtocolError(RuntimeError):
@@ -163,8 +172,9 @@ class _Rounds:
 
     Round 0 holds the initial weights and is never scored. ``close`` ends
     the next round and queues its validation evaluation on ``eval_jobs``;
-    ``drain`` collects finished scores from ``eval_results``; ``finish``
-    turns the book into the run's result.
+    ``drain`` collects finished scores from ``eval_results``, reading a
+    forked evaluator's handle as it arrives; ``finish`` turns the book into
+    the run's result.
     """
 
     def __init__(self, clock, weights: ModelWeights, eval_jobs, eval_results):
@@ -212,6 +222,8 @@ class _Rounds:
                 )
             except ChannelTimeout:
                 return
+            if callable(mrr):  # a forked evaluator's handle (run_training)
+                mrr = mrr()
             self._pending.discard((split, round_t))
             self._mrr[(split, round_t)] = mrr
             if split == "val" and round_t in self._rows:
@@ -425,15 +437,58 @@ def run_ggs(
             logs[spec.trainer_id].record_step(loss)
         clock.sleep(step_cost)
         if clock.now() - t_agg >= cfg.agg_interval:
+            # drain once a round, as the server does: a forked evaluator's
+            # score of the round just closed would block until it is done
+            book.drain()
             book.close(w, *tally())
             t_agg = clock.now()
-        book.drain()
 
     return book.finish([s.trainer_id for s in specs], *tally(), logs)
 
 
 # ---------------------------------------------------------------------------
 # harness: wire runtime + transport + actors and run to completion
+
+
+def _fork(name: str, target, *args):
+    """Start ``target(*args, pipe)`` in a forked process named ``name``;
+    returns (process, the parent's end of ``pipe``). Each side holds the only
+    copy of its end, so either side's exit or close is the other's EOF."""
+    ctx = multiprocessing.get_context("fork")
+    pipe, child_end = ctx.Pipe()
+
+    def child():
+        pipe.close()
+        target(*args, child_end)
+
+    proc = ctx.Process(target=child, name=name, daemon=True)
+    proc.start()
+    child_end.close()
+    return proc, pipe
+
+
+def _reap(children: dict) -> dict:
+    """Wait for forked ``{name: (process, pipe)}`` children to exit. From each
+    pipe still open, first read the one report its child sends; a child still
+    running at ``CHILD_EXIT_TIMEOUT`` is killed. Returns ``{name: (report or
+    None, exit code)}`` once every child has exited."""
+    deadline = time.monotonic() + CHILD_EXIT_TIMEOUT
+    reports = {}
+    try:
+        for name, (proc, pipe) in children.items():
+            # read before joining: a long run's log overfills the pipe buffer,
+            # and its child blocks in send until it is read
+            with contextlib.suppress(EOFError):
+                if not pipe.closed and pipe.poll(max(0.0, deadline - time.monotonic())):
+                    reports[name] = pipe.recv()
+            proc.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        for proc, pipe in children.values():
+            pipe.close()
+            if proc.exitcode is None:
+                proc.kill()
+            proc.join()
+    return {name: (reports.get(name), proc.exitcode) for name, (proc, _) in children.items()}
 
 
 def _trainer_process(spec: TrainerSpec, cfg: RunConfig, address, report) -> None:
@@ -453,51 +508,71 @@ def _trainer_process(spec: TrainerSpec, cfg: RunConfig, address, report) -> None
     report.send(("log", log))
 
 
-def _fork_trainer(spec: TrainerSpec, cfg: RunConfig, address):
-    """Start one TCP trainer as a forked process; returns (id, process, pipe)."""
-    ctx = multiprocessing.get_context("fork")
-    pipe, report = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_trainer_process, args=(spec, cfg, address, report),
-        name=f"trainer-{spec.trainer_id}", daemon=True,
-    )
-    proc.start()
-    report.close()  # the child holds the only write end: its exit is the pipe's EOF
-    return spec.trainer_id, proc, pipe
+def _no_report(name: str, code) -> ProtocolError:
+    return ProtocolError(f"{name} exited with code {code} without reporting")
 
 
-def _reap_trainers(trainers) -> dict[int, TrainerLog]:
-    """Read each trainer process's report, then join it; one still running at
-    ``TRAINER_EXIT_TIMEOUT`` is killed. Returns the logs once every process
-    has exited; raises the first trainer's error, or a ProtocolError for a
-    trainer that exited without reporting."""
-    deadline = time.monotonic() + TRAINER_EXIT_TIMEOUT
-    reports = {}
-    try:
-        for trainer_id, proc, pipe in trainers:
-            # read before joining: a long run's log overfills the pipe buffer,
-            # and its child blocks in send until it is read
-            with contextlib.suppress(EOFError):
-                if pipe.poll(max(0.0, deadline - time.monotonic())):
-                    reports[trainer_id] = pipe.recv()
-            proc.join(max(0.0, deadline - time.monotonic()))
-    finally:
-        for _, proc, pipe in trainers:
-            pipe.close()
-            if proc.exitcode is None:
-                proc.kill()
-            proc.join()
+def _trainer_logs(done: dict) -> dict[int, TrainerLog]:
+    """Each reaped trainer's log; raises the first trainer's error, or a
+    ProtocolError for a trainer that exited without reporting."""
     logs = {}
-    for trainer_id, proc, _ in trainers:
-        kind, value = reports.get(trainer_id, (None, None))
+    for name, (report, code) in done.items():
+        kind, value = report or (None, None)
         if kind == "error":
             raise value
         if kind is None:
-            raise ProtocolError(
-                f"trainer {trainer_id} exited with code {proc.exitcode} without reporting"
-            )
-        logs[trainer_id] = value
+            raise _no_report(name, code)
+        logs[value.trainer_id] = value
     return logs
+
+
+def _evaluator_process(eval_fn, pipe) -> None:
+    """Body of the forked sim evaluator: answer each ``(split, round, weights)``
+    job with ``("mrr", value)`` or ``("error", exception)``, until the parent
+    closes its end of ``pipe``."""
+    _keep_freed_memory()
+    with _one_blas_thread(), contextlib.suppress(EOFError, OSError):
+        while True:
+            split, round_t, weights = pipe.recv()
+            try:
+                reply = ("mrr", eval_fn(weights, split, round_t))
+            except Exception as exc:  # the parent raises it where it reads the score
+                reply = ("error", exc)
+            pipe.send(reply)
+
+
+class _ForkedEvaluator:
+    """The parent's side of ``_evaluator_process``. ``submit`` sends one job
+    and returns at once with a handle; a handle reads the oldest reply not yet
+    read, so handles are resolved in the order they were returned."""
+
+    def __init__(self, eval_fn):
+        self._proc, self._pipe = _fork("evaluator", _evaluator_process, eval_fn)
+
+    def submit(self, weights: ModelWeights, split: str, round_t: int):
+        try:
+            self._pipe.send((split, round_t, weights))
+        except OSError:
+            raise self._exited() from None
+        return self._reply
+
+    def _reply(self) -> float:
+        try:
+            kind, value = self._pipe.recv()
+        except (EOFError, OSError):
+            raise self._exited() from None
+        if kind == "error":
+            raise value
+        return value
+
+    def _exited(self) -> ProtocolError:
+        self._proc.join(CHILD_EXIT_TIMEOUT)
+        return _no_report(self._proc.name, self._proc.exitcode)
+
+    def close(self) -> None:
+        """End the jobs, which ends the process, and reap it."""
+        self._pipe.close()
+        _reap({self._proc.name: (self._proc, self._pipe)})
 
 
 def run_training(
@@ -511,7 +586,8 @@ def run_training(
     tcp_host: str = "127.0.0.1",
 ) -> RunResult:
     """Run one full training (tma or ggs mode) and return the server result.
-    TCP trainers run as forked processes (module docstring)."""
+    TCP trainers, and the sim runtime's evaluator, run as forked processes
+    (module docstring); none outlives this call."""
     if not specs:
         raise ProtocolError("need at least one trainer spec")
     ids = [s.trainer_id for s in specs]
@@ -533,7 +609,9 @@ def run_training(
 
     result_box: dict[str, RunResult] = {}
     server_ep = None
-    trainers = []  # forked TCP trainers: (id, process, report pipe)
+    # forked processes, started before this training starts a thread
+    trainers = {}  # TCP trainers: name -> (process, pipe)
+    evaluator = None  # the sim's _ForkedEvaluator
 
     def loop_actor(loop, *args):
         try:
@@ -543,42 +621,53 @@ def run_training(
             if server_ep is not None:
                 server_ep.close()
 
-    try:
-        if cfg.mode == "ggs":
-            rt.spawn(
-                "ggs", loop_actor, run_ggs, cfg, specs, train_graph, features,
-                initial, rt.clock, eval_jobs, eval_results,
-            )
-        else:
-            server_ep = (
-                InProcTransports(rt, ids) if transport == "inproc"
-                else TcpCoordinator(ids, cfg.model, host=tcp_host)
-            )
-            rt.spawn(
-                "server", loop_actor, run_server, cfg, server_ep, initial, rt.clock,
-                eval_jobs, eval_results,
-            )
-            if transport == "inproc":
-                logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
-
-                def trainer_actor(spec):
-                    endpoint = server_ep.trainer_endpoint(spec.trainer_id)
-                    run_trainer(spec, cfg, endpoint, rt.clock, logs[spec.trainer_id])
-
-                for spec in specs:
-                    rt.spawn(f"trainer-{spec.trainer_id}", trainer_actor, spec)
+    # the sim pins BLAS before it forks, so that neither process sets the
+    # count after the fork (runtime._one_blas_thread)
+    with _one_blas_thread() if runtime == "sim" else contextlib.nullcontext():
+        try:
+            if runtime == "sim":
+                # one actor runs at a time under the sim: scoring in a process
+                # keeps evaluations from holding the token
+                evaluator = _ForkedEvaluator(eval_fn)
+                eval_fn = evaluator.submit
+            if cfg.mode == "ggs":
+                rt.spawn(
+                    "ggs", loop_actor, run_ggs, cfg, specs, train_graph, features,
+                    initial, rt.clock, eval_jobs, eval_results,
+                )
             else:
-                # fork before this training starts a thread: the trainers'
-                # connections wait in the listen backlog until accepting starts
-                for spec in specs:
-                    trainers.append(_fork_trainer(spec, cfg, server_ep.address))
-                server_ep.start()
-        rt.spawn("evaluator", run_evaluator, eval_jobs, eval_results, eval_fn)
-        rt.run_all()
-    finally:
-        if trainers:
-            server_ep.close()  # a trainer whose server is gone stops after its step
-            logs = _reap_trainers(trainers)
+                server_ep = (
+                    InProcTransports(rt, ids) if transport == "inproc"
+                    else TcpCoordinator(ids, cfg.model, host=tcp_host)
+                )
+                rt.spawn(
+                    "server", loop_actor, run_server, cfg, server_ep, initial, rt.clock,
+                    eval_jobs, eval_results,
+                )
+                if transport == "inproc":
+                    logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
+
+                    def trainer_actor(spec):
+                        endpoint = server_ep.trainer_endpoint(spec.trainer_id)
+                        run_trainer(spec, cfg, endpoint, rt.clock, logs[spec.trainer_id])
+
+                    for spec in specs:
+                        rt.spawn(f"trainer-{spec.trainer_id}", trainer_actor, spec)
+                else:
+                    # the trainers' connections wait in the listen backlog until
+                    # accepting starts
+                    for spec in specs:
+                        name = f"trainer {spec.trainer_id}"
+                        trainers[name] = _fork(name, _trainer_process, spec, cfg, server_ep.address)
+                    server_ep.start()
+            rt.spawn("evaluator", run_evaluator, eval_jobs, eval_results, eval_fn)
+            rt.run_all()
+        finally:
+            if trainers:
+                server_ep.close()  # a trainer whose server is gone stops after its step
+                logs = _trainer_logs(_reap(trainers))
+            if evaluator is not None:
+                evaluator.close()
 
     result = result_box.get("result")
     if result is None:

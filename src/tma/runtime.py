@@ -9,10 +9,7 @@ The flag store the server and trainers share belongs to the transports
   channels. What production runs use: the server, the evaluator and
   in-process trainers are its threads, while TCP trainers are forked
   processes of their own (``coordination.run_training``) that pin BLAS and
-  set malloc as below themselves. While its actors run, numpy's
-  OpenBLAS is pinned to one thread, so parallel actors do not each start a
-  BLAS thread per core and oversubscribe the cores; the old count is put
-  back when ``run_all`` returns.
+  set malloc as below themselves.
 * ``SimRuntime`` - the same actor code driven by a deterministic
   cooperative scheduler over a virtual clock; the runtime is the scheduler.
   Exactly one actor runs at a time; actors hand off only inside runtime
@@ -21,7 +18,14 @@ The flag store the server and trainers share belongs to the transports
   one waiting state: a sleep waits for an absolute virtual deadline, a
   receive for a put or close on its channel and, given a timeout, also for
   the deadline fixed when the receive began. Acceptance and stress tests
-  run here.
+  run here. ``coordination.run_training`` scores the sim's rounds in a
+  forked evaluator process, so an evaluation runs beside the actors
+  instead of holding the token.
+
+While either runtime's actors run, numpy's OpenBLAS is pinned to one
+thread: parallel actors would each start a BLAS thread per core, and the
+sim's actors share the cores with its evaluator process. The old count is
+put back when ``run_all`` returns.
 
 Both runtimes' ``run_all`` also set, once per process, how glibc's malloc
 returns freed memory: blocks under 4 MiB come from the heap rather than
@@ -136,9 +140,11 @@ def _openblas():
 
 @contextmanager
 def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block, then put the old count back."""
+    """Pin OpenBLAS to one thread for the block, then put the old count back.
+    A count already at one is left alone: after a fork, any set restarts
+    OpenBLAS's thread pool, whose idle worker then spins for about 0.1 s."""
     blas = _openblas()
-    if blas is None:
+    if blas is None or blas[0]() == 1:
         yield
         return
     get_threads, set_threads = blas
@@ -301,16 +307,17 @@ class SimRuntime:
     def run_all(self) -> None:
         _keep_freed_memory()
         self._started = True
-        for actor in self._actors:
-            actor.thread = threading.Thread(
-                target=self._actor_main, args=(actor,), name=actor.name, daemon=True
-            )
-            self._by_thread[id(actor.thread)] = actor
-            actor.thread.start()
-        with self._lock:
-            self._grant_next_locked()
-        for actor in self._actors:
-            actor.thread.join()
+        with _one_blas_thread():
+            for actor in self._actors:
+                actor.thread = threading.Thread(
+                    target=self._actor_main, args=(actor,), name=actor.name, daemon=True
+                )
+                self._by_thread[id(actor.thread)] = actor
+                actor.thread.start()
+            with self._lock:
+                self._grant_next_locked()
+            for actor in self._actors:
+                actor.thread.join()
         if self._error is not None:
             raise self._error
 

@@ -1083,7 +1083,7 @@ class TestTcpTrainerProcesses:
                 time.sleep(30)  # stopped, but never reports
 
         monkeypatch.setattr(coordination, "run_trainer", run_trainer)
-        monkeypatch.setattr(coordination, "TRAINER_EXIT_TIMEOUT", 0.5)
+        monkeypatch.setattr(coordination, "CHILD_EXIT_TIMEOUT", 0.5)
         with pytest.raises(ProtocolError, match=r"trainer 1 exited with code -9 without reporting"):
             _tcp_training()()
         assert multiprocessing.active_children() == []
@@ -1097,7 +1097,69 @@ class TestTcpTrainerProcesses:
         with pytest.raises(ProtocolError, match="aggregation broke"):
             _tcp_training()()
         # the trainers saw the server hang up; none waited out the exit timeout
-        assert time.monotonic() - t0 < coordination.TRAINER_EXIT_TIMEOUT
+        assert time.monotonic() - t0 < coordination.CHILD_EXIT_TIMEOUT
+        assert multiprocessing.active_children() == []
+
+
+def _sim_training(mode="tma", seed=21):
+    train, x, y, splits = make_dataset(seed=seed, n=120)
+    specs = make_specs(train, x, 2, step_time=0.1)
+    cfg = RunConfig(
+        model=small_model(x), mode=mode, train_budget=2.0, agg_interval=0.5,
+        batch_size=8, fanouts=(2, 2),
+    )
+    return cfg, specs, train, x, splits
+
+
+class TestSimEvaluatorProcess:
+    """Under the sim, rounds are scored in a forked evaluator process; none
+    outlives run_training."""
+
+    @pytest.mark.parametrize("mode", ["tma", "ggs"])
+    def test_scores_match_an_eval_in_this_process(self, mode):
+        cfg, specs, train, x, splits = _sim_training(mode)
+        res = run_training(cfg, specs, train, x, splits)
+        val = evaluate(res.best_weights, cfg.model, train, x, splits, "val").mrr
+        test = evaluate(res.best_weights, cfg.model, train, x, splits, "test").mrr
+        assert (res.best_val_mrr, res.test_mrr) == (val, test)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode", ["tma", "ggs"])
+    def test_same_seed_runs_are_identical(self, mode):
+        a, b = (run_training(*_sim_training(mode)) for _ in range(2))
+        assert a.metrics == b.metrics
+        assert a.round_times == b.round_times
+        assert {i: log.steps for i, log in a.trainer_logs.items()} == {
+            i: log.steps for i, log in b.trainer_logs.items()
+        }
+        assert multiprocessing.active_children() == []
+
+    def test_an_eval_error_is_raised(self, monkeypatch):
+        def evaluate(*args):
+            raise ValueError("eval broke")
+
+        monkeypatch.setattr(coordination, "evaluate", evaluate)
+        with pytest.raises(ValueError, match="^eval broke$"):
+            run_training(*_sim_training())
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_evaluator_is_named(self, monkeypatch):
+        monkeypatch.setattr(coordination, "evaluate", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"evaluator exited with code -9 without reporting"):
+            run_training(*_sim_training())
+        assert time.monotonic() - t0 < coordination.CHILD_EXIT_TIMEOUT
+        assert multiprocessing.active_children() == []
+
+    def test_a_server_error_is_raised_and_the_evaluator_stops(self, monkeypatch):
+        def aggregate_average(weight_sets):
+            raise ProtocolError("aggregation broke")
+
+        monkeypatch.setattr(coordination, "aggregate_average", aggregate_average)
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match="aggregation broke"):
+            run_training(*_sim_training())
+        assert time.monotonic() - t0 < coordination.CHILD_EXIT_TIMEOUT
         assert multiprocessing.active_children() == []
 
 

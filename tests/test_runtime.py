@@ -63,11 +63,29 @@ def test_blas_count_restored_when_an_actor_raises(blas):
     assert blas() == 2
 
 
-def test_sim_runtime_leaves_blas_count_alone(blas):
+def test_sim_actors_run_with_one_blas_thread(blas):
     seen = []
+
+    def boom():
+        seen.append(blas())
+        raise ValueError("boom")
+
     _run(SimRuntime(), lambda: seen.append(blas()))
-    assert seen == [2]
+    assert seen == [1]
     assert blas() == 2
+    with pytest.raises(ValueError, match="boom"):
+        _run(SimRuntime(), boom)
+    assert seen == [1, 1]
+    assert blas() == 2
+
+
+@pytest.mark.parametrize("runtime_type", [SimRuntime, ThreadRuntime])
+def test_a_count_of_one_is_never_set(monkeypatch, runtime_type):
+    # after a fork, any set restarts OpenBLAS's thread pool
+    sets = []
+    monkeypatch.setattr(runtime, "_openblas", lambda: (lambda: 1, sets.append))
+    _run(runtime_type(), lambda: None)
+    assert sets == []
 
 
 def test_missing_blas_warns_once_and_runs_unpinned(no_blas, caplog):
