@@ -27,20 +27,22 @@ and the ggs loop differ only in how they reach the end of a round.
 
 Everything runs against injected clock/channel primitives, so the same
 protocol code executes on real threads, over TCP, or inside the
-deterministic simulation used by the acceptance tests. The server and the
-evaluator are always actors of the runtime, and so are in-process trainers.
-TCP trainers are forked processes (``run_training``): their steps do not
+deterministic simulation used by the acceptance tests. The server is
+always an actor of the runtime, and so are in-process trainers. TCP
+trainers are forked processes (``run_training``): their steps do not
 share the server's interpreter lock, and each sends its ``TrainerLog``, or
 its error, back over a pipe.
 
-Under the sim, the evaluator actor hands each job to a forked evaluator
-process and queues a handle to its score at once, and the round book reads
-the scores in queue order when it drains. The sim schedule and every score
-stay as they were with an in-process evaluator, while the evaluations run
-beside the actors instead of on their single token. The loops drain once a
-round, before its close, so a round's score has had the whole next
-round to arrive. Both runtimes pin BLAS to one thread while their actors
-run, and every forked process pins its own.
+Every training scores its rounds in one forked evaluator process
+(``_Evaluator``), which is the round book's job and result channel. Under
+the sim an evaluation takes no virtual time: a drain waits for every score
+owed, so the schedule and every score are those of an in-process
+evaluator, while the evaluations run beside the actors instead of on their
+single token. Under the real clock a drain takes only the scores that have
+arrived, so a slow evaluation never holds up a round. The loops drain once
+a round, before its close, so a round's score has had the whole next round
+to arrive. ``run_training`` pins BLAS to one thread and sets malloc once,
+before it forks; its children inherit both.
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ from .transport import InProcTransports, TcpCoordinator, TcpTrainerEndpoint
 LOSS_EMA_ALPHA = 0.1
 # seconds a trainer with no local edges waits between flag checks
 IDLE_POLL = 0.05
-# validation evaluations in flight at once; a round closed beyond it is not scored
-EVAL_QUEUE_LIMIT = 64
+# validation evaluations in flight at once; a round closed beyond it is not scored.
+# Queued jobs wait in the evaluator's pipe, whose buffer took 21 desk10k jobs
+# before a send blocked the round loop; a larger model fits fewer jobs.
+EVAL_QUEUE_LIMIT = 16
 # seconds run_training waits, once its run is done, for its forked trainer or
 # evaluator processes to report and exit before it kills them
 CHILD_EXIT_TIMEOUT = 10.0
@@ -172,9 +176,8 @@ class _Rounds:
 
     Round 0 holds the initial weights and is never scored. ``close`` ends
     the next round and queues its validation evaluation on ``eval_jobs``;
-    ``drain`` collects finished scores from ``eval_results``, reading a
-    forked evaluator's handle as it arrives; ``finish`` turns the book into
-    the run's result.
+    ``drain`` collects finished scores from ``eval_results``; ``finish``
+    turns the book into the run's result.
     """
 
     def __init__(self, clock, weights: ModelWeights, eval_jobs, eval_results):
@@ -222,8 +225,6 @@ class _Rounds:
                 )
             except ChannelTimeout:
                 return
-            if callable(mrr):  # a forked evaluator's handle (run_training)
-                mrr = mrr()
             self._pending.discard((split, round_t))
             self._mrr[(split, round_t)] = mrr
             if split == "val" and round_t in self._rows:
@@ -371,19 +372,6 @@ def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: Trainer
 
 
 # ---------------------------------------------------------------------------
-# evaluator worker
-
-
-def run_evaluator(eval_jobs, eval_results, eval_fn):
-    while True:
-        try:
-            split, round_t, weights = eval_jobs.get()
-        except ChannelClosed:
-            return
-        eval_results.put((split, round_t, eval_fn(weights, split, round_t)))
-
-
-# ---------------------------------------------------------------------------
 # synchronous-gradient baseline: full graph access, per-step gradient averaging
 
 
@@ -437,8 +425,9 @@ def run_ggs(
             logs[spec.trainer_id].record_step(loss)
         clock.sleep(step_cost)
         if clock.now() - t_agg >= cfg.agg_interval:
-            # drain once a round, as the server does: a forked evaluator's
-            # score of the round just closed would block until it is done
+            # drain once a round, before the close, as the server does: under
+            # the sim a drain waits for every score owed, and the round just
+            # closed would have had no time to be scored
             book.drain()
             book.close(w, *tally())
             t_agg = clock.now()
@@ -494,12 +483,10 @@ def _reap(children: dict) -> dict:
 def _trainer_process(spec: TrainerSpec, cfg: RunConfig, address, report) -> None:
     """Body of a forked TCP trainer: train, then send ``("log", TrainerLog)``
     or ``("error", exception)`` up the ``report`` pipe."""
-    _keep_freed_memory()
     log = TrainerLog(trainer_id=spec.trainer_id)
     try:
-        with _one_blas_thread():
-            endpoint = TcpTrainerEndpoint(address, spec.trainer_id, cfg.model)
-            run_trainer(spec, cfg, endpoint, RealClock(), log)
+        endpoint = TcpTrainerEndpoint(address, spec.trainer_id, cfg.model)
+        run_trainer(spec, cfg, endpoint, RealClock(), log)
     except ChannelClosed:
         pass  # the server hung up mid-round: a normal end, as for a thread trainer
     except BaseException as exc:
@@ -527,38 +514,47 @@ def _trainer_logs(done: dict) -> dict[int, TrainerLog]:
 
 
 def _evaluator_process(eval_fn, pipe) -> None:
-    """Body of the forked sim evaluator: answer each ``(split, round, weights)``
-    job with ``("mrr", value)`` or ``("error", exception)``, until the parent
-    closes its end of ``pipe``."""
-    _keep_freed_memory()
-    with _one_blas_thread(), contextlib.suppress(EOFError, OSError):
+    """Body of the forked evaluator: answer each ``(split, round, weights)``
+    job with ``("score", (split, round, mrr))`` or ``("error", exception)``,
+    until the parent closes its end of ``pipe``."""
+    with contextlib.suppress(EOFError, OSError):
         while True:
             split, round_t, weights = pipe.recv()
             try:
-                reply = ("mrr", eval_fn(weights, split, round_t))
+                reply = ("score", (split, round_t, eval_fn(weights, split, round_t)))
             except Exception as exc:  # the parent raises it where it reads the score
                 reply = ("error", exc)
             pipe.send(reply)
 
 
-class _ForkedEvaluator:
-    """The parent's side of ``_evaluator_process``. ``submit`` sends one job
-    and returns at once with a handle; a handle reads the oldest reply not yet
-    read, so handles are resolved in the order they were returned."""
+class _Evaluator:
+    """The round book's job and result channel: a forked ``_evaluator_process``
+    answers the jobs in the order they were put. ``child`` is its ``(process,
+    pipe)``; closing the pipe ends the jobs, and the process exits.
 
-    def __init__(self, eval_fn):
-        self._proc, self._pipe = _fork("evaluator", _evaluator_process, eval_fn)
+    An evaluation takes no virtual time, so under the sim ``get`` waits for
+    an owed reply whatever its timeout; under the real clock it waits at
+    most ``timeout``, so a drain never holds up a round."""
 
-    def submit(self, weights: ModelWeights, split: str, round_t: int):
+    def __init__(self, eval_fn, sim: bool):
+        self.child = _fork("evaluator", _evaluator_process, eval_fn)
+        self._sim = sim
+
+    def put(self, job) -> None:
+        """Send one ``(split, round, weights)`` job."""
         try:
-            self._pipe.send((split, round_t, weights))
+            self.child[1].send(job)
         except OSError:
             raise self._exited() from None
-        return self._reply
 
-    def _reply(self) -> float:
+    def get(self, timeout: float | None = None):
+        """The oldest owed ``(split, round, mrr)``; raises ChannelTimeout, or
+        the evaluation's error."""
+        pipe = self.child[1]
         try:
-            kind, value = self._pipe.recv()
+            if not (self._sim or timeout is None or pipe.poll(timeout)):
+                raise ChannelTimeout
+            kind, value = pipe.recv()
         except (EOFError, OSError):
             raise self._exited() from None
         if kind == "error":
@@ -566,13 +562,9 @@ class _ForkedEvaluator:
         return value
 
     def _exited(self) -> ProtocolError:
-        self._proc.join(CHILD_EXIT_TIMEOUT)
-        return _no_report(self._proc.name, self._proc.exitcode)
-
-    def close(self) -> None:
-        """End the jobs, which ends the process, and reap it."""
-        self._pipe.close()
-        _reap({self._proc.name: (self._proc, self._pipe)})
+        proc = self.child[0]
+        proc.join(CHILD_EXIT_TIMEOUT)
+        return _no_report(proc.name, proc.exitcode)
 
 
 def run_training(
@@ -586,8 +578,8 @@ def run_training(
     tcp_host: str = "127.0.0.1",
 ) -> RunResult:
     """Run one full training (tma or ggs mode) and return the server result.
-    TCP trainers, and the sim runtime's evaluator, run as forked processes
-    (module docstring); none outlives this call."""
+    The evaluator and any TCP trainers run as forked processes (module
+    docstring); none outlives this call."""
     if not specs:
         raise ProtocolError("need at least one trainer spec")
     ids = [s.trainer_id for s in specs]
@@ -599,8 +591,6 @@ def run_training(
         raise ProtocolError("tcp transport requires the thread runtime")
 
     initial = init_weights(cfg.model)
-    eval_jobs = rt.channel()
-    eval_results = rt.channel()
 
     def eval_fn(weights, split, round_t):
         return evaluate(
@@ -609,43 +599,48 @@ def run_training(
 
     result_box: dict[str, RunResult] = {}
     server_ep = None
-    # forked processes, started before this training starts a thread
-    trainers = {}  # TCP trainers: name -> (process, pipe)
-    evaluator = None  # the sim's _ForkedEvaluator
+    logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
+    # forked processes, started before this training starts a thread:
+    # name -> (process, pipe)
+    children = {}
 
     def loop_actor(loop, *args):
         try:
             result_box["result"] = loop(*args)
         finally:
-            eval_jobs.close()
             if server_ep is not None:
                 server_ep.close()
 
-    # the sim pins BLAS before it forks, so that neither process sets the
-    # count after the fork (runtime._one_blas_thread)
-    with _one_blas_thread() if runtime == "sim" else contextlib.nullcontext():
+    # set once, before any fork: the children inherit both, and none sets the
+    # BLAS count after its fork (runtime._one_blas_thread)
+    _keep_freed_memory()
+    with _one_blas_thread():
         try:
-            if runtime == "sim":
-                # one actor runs at a time under the sim: scoring in a process
-                # keeps evaluations from holding the token
-                evaluator = _ForkedEvaluator(eval_fn)
-                eval_fn = evaluator.submit
-            if cfg.mode == "ggs":
-                rt.spawn(
-                    "ggs", loop_actor, run_ggs, cfg, specs, train_graph, features,
-                    initial, rt.clock, eval_jobs, eval_results,
-                )
-            else:
+            if cfg.mode == "tma":
                 server_ep = (
                     InProcTransports(rt, ids) if transport == "inproc"
                     else TcpCoordinator(ids, cfg.model, host=tcp_host)
                 )
+                if transport == "tcp":
+                    # the trainers' connections wait in the listen backlog
+                    # until accepting starts
+                    for spec in specs:
+                        name = f"trainer {spec.trainer_id}"
+                        children[name] = _fork(name, _trainer_process, spec, cfg, server_ep.address)
+            # forked last: a process forked after it would hold its job pipe open
+            evaluator = _Evaluator(eval_fn, sim=runtime == "sim")
+            children["evaluator"] = evaluator.child
+            if cfg.mode == "ggs":
+                rt.spawn(
+                    "ggs", loop_actor, run_ggs, cfg, specs, train_graph, features,
+                    initial, rt.clock, evaluator, evaluator,
+                )
+            else:
                 rt.spawn(
                     "server", loop_actor, run_server, cfg, server_ep, initial, rt.clock,
-                    eval_jobs, eval_results,
+                    evaluator, evaluator,
                 )
                 if transport == "inproc":
-                    logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
 
                     def trainer_actor(spec):
                         endpoint = server_ep.trainer_endpoint(spec.trainer_id)
@@ -654,20 +649,16 @@ def run_training(
                     for spec in specs:
                         rt.spawn(f"trainer-{spec.trainer_id}", trainer_actor, spec)
                 else:
-                    # the trainers' connections wait in the listen backlog until
-                    # accepting starts
-                    for spec in specs:
-                        name = f"trainer {spec.trainer_id}"
-                        trainers[name] = _fork(name, _trainer_process, spec, cfg, server_ep.address)
                     server_ep.start()
-            rt.spawn("evaluator", run_evaluator, eval_jobs, eval_results, eval_fn)
             rt.run_all()
         finally:
-            if trainers:
+            if server_ep is not None:
                 server_ep.close()  # a trainer whose server is gone stops after its step
-                logs = _trainer_logs(_reap(trainers))
-            if evaluator is not None:
-                evaluator.close()
+            if "evaluator" in children:
+                children["evaluator"][1].close()  # no more jobs: the evaluator exits
+            done = _reap(children)
+            done.pop("evaluator", None)
+            logs.update(_trainer_logs(done))  # the TCP trainers' own logs
 
     result = result_box.get("result")
     if result is None:

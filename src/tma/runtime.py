@@ -6,10 +6,8 @@ The flag store the server and trainers share belongs to the transports
 (``transport.KvStore``). Two runtimes provide the clock and the channels:
 
 * ``ThreadRuntime`` - real threads, monotonic wall clock, queue-backed
-  channels. What production runs use: the server, the evaluator and
-  in-process trainers are its threads, while TCP trainers are forked
-  processes of their own (``coordination.run_training``) that pin BLAS and
-  set malloc as below themselves.
+  channels. What production runs use: the server and in-process trainers
+  are its threads.
 * ``SimRuntime`` - the same actor code driven by a deterministic
   cooperative scheduler over a virtual clock; the runtime is the scheduler.
   Exactly one actor runs at a time; actors hand off only inside runtime
@@ -18,14 +16,17 @@ The flag store the server and trainers share belongs to the transports
   one waiting state: a sleep waits for an absolute virtual deadline, a
   receive for a put or close on its channel and, given a timeout, also for
   the deadline fixed when the receive began. Acceptance and stress tests
-  run here. ``coordination.run_training`` scores the sim's rounds in a
-  forked evaluator process, so an evaluation runs beside the actors
-  instead of holding the token.
+  run here.
+
+Under either runtime, ``coordination.run_training`` scores the rounds in a
+forked evaluator process, and TCP trainers are forked processes too. It
+pins BLAS and sets malloc as below before it forks, so the children
+inherit both.
 
 While either runtime's actors run, numpy's OpenBLAS is pinned to one
 thread: parallel actors would each start a BLAS thread per core, and the
-sim's actors share the cores with its evaluator process. The old count is
-put back when ``run_all`` returns.
+actors share the cores with the forked processes. The old count is put
+back when ``run_all`` returns.
 
 Both runtimes' ``run_all`` also set, once per process, how glibc's malloc
 returns freed memory: blocks under 4 MiB come from the heap rather than

@@ -108,6 +108,8 @@ class InProcTransports:
         self._to_trainer[trainer_id].put((round_t, weights.copy()))
 
     def close(self):
+        """Hang up on the trainers: as over TCP, their ``stop`` reads True."""
+        self.kv.set("stop", True)
         for ch in self._to_trainer.values():
             ch.close()
 

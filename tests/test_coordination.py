@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import struct
@@ -18,7 +20,6 @@ from tma.coordination import (
     RunConfig,
     TrainerLog,
     TrainerSpec,
-    run_evaluator,
     run_server,
     run_trainer,
     run_training,
@@ -38,7 +39,7 @@ from tma.runtime import (
     ThreadChannel,
     ThreadRuntime,
 )
-from tma import transport
+from tma import runtime, transport
 from tma.transport import (
     MAX_FRAME_LEN,
     MSG_HELLO,
@@ -276,6 +277,24 @@ class _TickClock:
         return self.t
 
 
+class _InlineEvaluator:
+    """Stands in for ``coordination._Evaluator`` in this process: ``put``
+    scores a job at once, ``get`` returns the oldest score not yet read."""
+
+    def __init__(self, eval_fn):
+        self._eval_fn = eval_fn
+        self._scores = []
+
+    def put(self, job):
+        split, round_t, weights = job
+        self._scores.append((split, round_t, self._eval_fn(weights, split, round_t)))
+
+    def get(self, timeout=None):
+        if not self._scores:
+            raise ChannelTimeout
+        return self._scores.pop(0)
+
+
 class TestRounds:
     def test_round_closed_at_the_eval_queue_limit_stays_unscored(self, monkeypatch):
         monkeypatch.setattr(coordination, "EVAL_QUEUE_LIMIT", 2)
@@ -288,20 +307,13 @@ class TestRounds:
             evaluated.append((split, round_t))
             return scores.get((split, round_t), 0.0)
 
-        jobs, results = ThreadChannel(), ThreadChannel()
-        evaluator = threading.Thread(target=run_evaluator, args=(jobs, results, eval_fn))
-        evaluator.start()
-        try:
-            book = coordination._Rounds(_TickClock(), _TINY_W, jobs, results)
-            for _ in range(3):  # the third close finds two evaluations in flight
-                book.close(_TINY_W, {0: 1}, {0: 0.5})
-            book.drain({("val", 1), ("val", 2)})
-            book.close(_TINY_W, {0: 2}, {0: 0.5})  # room again after the drain
-            res = book.finish([0], {0: 2}, {0: 0.5}, {})
-        finally:
-            jobs.close()
-            evaluator.join(5.0)
-        assert not evaluator.is_alive()
+        evaluator = _InlineEvaluator(eval_fn)
+        book = coordination._Rounds(_TickClock(), _TINY_W, evaluator, evaluator)
+        for _ in range(3):  # the third close finds two evaluations in flight
+            book.close(_TINY_W, {0: 1}, {0: 0.5})
+        book.drain({("val", 1), ("val", 2)})
+        book.close(_TINY_W, {0: 2}, {0: 0.5})  # room again after the drain
+        res = book.finish([0], {0: 2}, {0: 0.5}, {})
         assert evaluated == [("val", 1), ("val", 2), ("val", 4), ("test", 2)]
         val = {r.round: r.mrr for r in res.metrics if r.split == "val"}
         assert math.isnan(val.pop(3))
@@ -508,28 +520,33 @@ def run_on_hub(cfg, registered, specs, train, x, splits):
     wired and spawned as ``run_training`` does it."""
     rt = SimRuntime()
     hub = InProcTransports(rt, registered)
-    jobs, results = rt.channel(), rt.channel()
     box = {}
-
-    def server():
-        try:
-            box["result"] = run_server(cfg, hub, init_weights(cfg.model), rt.clock, jobs, results)
-        finally:
-            jobs.close()
-            hub.close()
 
     def eval_fn(weights, split, round_t):
         return evaluate(weights, cfg.model, train, x, splits, split, round_t).mrr
+
+    def server():
+        try:
+            box["result"] = run_server(
+                cfg, hub, init_weights(cfg.model), rt.clock, evaluator, evaluator
+            )
+        finally:
+            hub.close()
 
     def trainer(spec):
         endpoint = hub.trainer_endpoint(spec.trainer_id)
         run_trainer(spec, cfg, endpoint, rt.clock, TrainerLog(trainer_id=spec.trainer_id))
 
-    rt.spawn("server", server)
-    for spec in specs:
-        rt.spawn(f"trainer-{spec.trainer_id}", trainer, spec)
-    rt.spawn("evaluator", run_evaluator, jobs, results, eval_fn)
-    rt.run_all()
+    with runtime._one_blas_thread():
+        evaluator = coordination._Evaluator(eval_fn, sim=True)
+        try:
+            rt.spawn("server", server)
+            for spec in specs:
+                rt.spawn(f"trainer-{spec.trainer_id}", trainer, spec)
+            rt.run_all()
+        finally:
+            evaluator.child[1].close()
+            coordination._reap({"evaluator": evaluator.child})
     return box["result"]
 
 
@@ -552,6 +569,16 @@ class TestFailureInjection:
         with pytest.raises(TransportError, match="unknown or taken"):
             hub.trainer_endpoint(5)
         assert _available(hub.joined) == [0]
+
+    def test_closing_the_hub_stops_its_trainers(self):
+        # as a TCP trainer's stop reads True once its server hangs up
+        hub = InProcTransports(ThreadRuntime(), [0])
+        ep = hub.trainer_endpoint(0)
+        assert ep.kv_get("stop") is None
+        hub.close()
+        assert ep.kv_get("stop") is True
+        with pytest.raises(ChannelClosed):
+            ep.recv_global(timeout=1.0)
 
     def test_racing_claims_hand_out_each_id_once(self):
         hub = InProcTransports(ThreadRuntime(), [0, 1, 2, 3])
@@ -908,24 +935,23 @@ class TestThreadRuntimeAndTcp:
         )
         w = init_weights(cfg.model)
         coord = TcpCoordinator([0, 1], cfg.model).start()
-        jobs, results = ThreadChannel(), ThreadChannel()
+        evaluator = _InlineEvaluator(lambda *_: 0.5)
         box = {}
         server = threading.Thread(
-            target=lambda: box.update(result=run_server(cfg, coord, w, RealClock(), jobs, results)),
+            target=lambda: box.update(
+                result=run_server(cfg, coord, w, RealClock(), evaluator, evaluator)
+            ),
             daemon=True,
         )
-        others = [
-            threading.Thread(target=run_evaluator, args=(jobs, results, lambda *_: 0.5), daemon=True),
-            threading.Thread(
-                target=run_trainer,
-                args=(specs[1], cfg, TcpTrainerEndpoint(coord.address, 1, cfg.model), RealClock(),
-                      TrainerLog(trainer_id=1)),
-                daemon=True,
-            ),
-        ]
+        other = threading.Thread(
+            target=run_trainer,
+            args=(specs[1], cfg, TcpTrainerEndpoint(coord.address, 1, cfg.model), RealClock(),
+                  TrainerLog(trainer_id=1)),
+            daemon=True,
+        )
         dying = TcpTrainerEndpoint(coord.address, 0, cfg.model)
         try:
-            for thread in [server, *others]:
+            for thread in [server, other]:
                 thread.start()
             assert dying.recv_global(timeout=2.0)[0] == 0
             _wait_for(lambda: dying.kv_get("agg") is True)
@@ -934,7 +960,6 @@ class TestThreadRuntimeAndTcp:
             server.join(5.0)
             assert not server.is_alive()
         finally:
-            jobs.close()
             coord.close()
         assert box["result"].live_ids == [1]
         assert box["result"].rounds >= 2
@@ -1101,24 +1126,43 @@ class TestTcpTrainerProcesses:
         assert multiprocessing.active_children() == []
 
 
-def _sim_training(mode="tma", seed=21):
+def _training(runtime="sim", transport="inproc", mode="tma", seed=21):
+    """A small training's arguments: 2 virtual s under the sim, 1.2 real s
+    under the thread runtime."""
     train, x, y, splits = make_dataset(seed=seed, n=120)
-    specs = make_specs(train, x, 2, step_time=0.1)
+    sim = runtime == "sim"
+    specs = make_specs(train, x, 2, step_time=0.1 if sim else 0.0)
     cfg = RunConfig(
-        model=small_model(x), mode=mode, train_budget=2.0, agg_interval=0.5,
-        batch_size=8, fanouts=(2, 2),
+        model=small_model(x), mode=mode, train_budget=2.0 if sim else 1.2,
+        agg_interval=0.5 if sim else 0.3, batch_size=8, fanouts=(2, 2),
     )
-    return cfg, specs, train, x, splits
+    return (cfg, specs, train, x, splits, runtime, transport)
 
 
-class TestSimEvaluatorProcess:
-    """Under the sim, rounds are scored in a forked evaluator process; none
+RUNTIMES = [
+    pytest.param("sim", "inproc", id="sim"),
+    pytest.param("threads", "inproc", id="threads"),
+    pytest.param("threads", "tcp", id="tcp"),
+]
+
+
+class TestEvaluatorProcess:
+    """Every training scores its rounds in a forked evaluator process; none
     outlives run_training."""
 
-    @pytest.mark.parametrize("mode", ["tma", "ggs"])
-    def test_scores_match_an_eval_in_this_process(self, mode):
-        cfg, specs, train, x, splits = _sim_training(mode)
-        res = run_training(cfg, specs, train, x, splits)
+    @pytest.mark.parametrize(
+        "runtime, transport, mode",
+        [
+            pytest.param("sim", "inproc", "tma", id="sim-tma"),
+            pytest.param("sim", "inproc", "ggs", id="sim-ggs"),
+            pytest.param("threads", "inproc", "tma", id="threads-tma"),
+            pytest.param("threads", "inproc", "ggs", id="threads-ggs"),
+            pytest.param("threads", "tcp", "tma", id="tcp-tma"),
+        ],
+    )
+    def test_scores_match_an_eval_in_this_process(self, runtime, transport, mode):
+        cfg, specs, train, x, splits, *_ = args = _training(runtime, transport, mode)
+        res = run_training(*args)
         val = evaluate(res.best_weights, cfg.model, train, x, splits, "val").mrr
         test = evaluate(res.best_weights, cfg.model, train, x, splits, "test").mrr
         assert (res.best_val_mrr, res.test_mrr) == (val, test)
@@ -1126,7 +1170,7 @@ class TestSimEvaluatorProcess:
 
     @pytest.mark.parametrize("mode", ["tma", "ggs"])
     def test_same_seed_runs_are_identical(self, mode):
-        a, b = (run_training(*_sim_training(mode)) for _ in range(2))
+        a, b = (run_training(*_training(mode=mode)) for _ in range(2))
         assert a.metrics == b.metrics
         assert a.round_times == b.round_times
         assert {i: log.steps for i, log in a.trainer_logs.items()} == {
@@ -1134,32 +1178,123 @@ class TestSimEvaluatorProcess:
         }
         assert multiprocessing.active_children() == []
 
-    def test_an_eval_error_is_raised(self, monkeypatch):
+    @pytest.mark.parametrize("runtime, transport", RUNTIMES)
+    def test_an_eval_error_is_raised(self, monkeypatch, runtime, transport):
         def evaluate(*args):
             raise ValueError("eval broke")
 
         monkeypatch.setattr(coordination, "evaluate", evaluate)
         with pytest.raises(ValueError, match="^eval broke$"):
-            run_training(*_sim_training())
+            run_training(*_training(runtime, transport))
         assert multiprocessing.active_children() == []
 
-    def test_a_killed_evaluator_is_named(self, monkeypatch):
+    @pytest.mark.parametrize("runtime, transport", RUNTIMES)
+    def test_a_killed_evaluator_is_named(self, monkeypatch, runtime, transport):
         monkeypatch.setattr(coordination, "evaluate", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
         t0 = time.monotonic()
         with pytest.raises(ProtocolError, match=r"evaluator exited with code -9 without reporting"):
-            run_training(*_sim_training())
+            run_training(*_training(runtime, transport))
         assert time.monotonic() - t0 < coordination.CHILD_EXIT_TIMEOUT
         assert multiprocessing.active_children() == []
 
-    def test_a_server_error_is_raised_and_the_evaluator_stops(self, monkeypatch):
+    @pytest.mark.parametrize("runtime, transport", RUNTIMES)
+    def test_a_server_error_stops_the_evaluator(self, monkeypatch, runtime, transport):
         def aggregate_average(weight_sets):
             raise ProtocolError("aggregation broke")
 
         monkeypatch.setattr(coordination, "aggregate_average", aggregate_average)
         t0 = time.monotonic()
         with pytest.raises(ProtocolError, match="aggregation broke"):
-            run_training(*_sim_training())
+            run_training(*_training(runtime, transport))
         assert time.monotonic() - t0 < coordination.CHILD_EXIT_TIMEOUT
+        assert multiprocessing.active_children() == []
+
+    def test_a_slow_eval_holds_up_no_real_clock_round(self, monkeypatch):
+        eval_s = 0.5
+        real_evaluate = coordination.evaluate
+
+        def evaluate(*args):
+            time.sleep(eval_s)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(coordination, "evaluate", evaluate)
+        monkeypatch.setattr(coordination, "EVAL_QUEUE_LIMIT", 2)
+        cfg, *rest = _training("threads")
+        res = run_training(dataclasses.replace(cfg, train_budget=1.5, agg_interval=0.1), *rest)
+        # rounds close every agg_interval, not every eval
+        assert res.rounds >= 8
+        gaps = np.diff([0.0, *res.round_times])
+        assert gaps.max() < eval_s
+        # a round closed with two evaluations in flight stays unscored
+        val = [r.mrr for r in res.metrics if r.split == "val"]
+        scored = [mrr for mrr in val if not math.isnan(mrr)]
+        assert 2 <= len(scored) <= 2 + res.round_times[-1] / eval_s + 1
+        assert math.isnan(val[2])
+        assert res.best_val_mrr == max(scored)
+        assert multiprocessing.active_children() == []
+
+    def test_queued_jobs_do_not_block_the_round_loop(self):
+        # desk10k's model: hidden 32, two encoder and two decoder layers
+        model = ModelConfig(in_dim=2, encoder="gcn", layers=2, hidden_dim=32, decoder_layers=2)
+        weights = init_weights(model)
+        assert len(pickle.dumps(("val", 1, weights))) > 9000
+        evaluator = coordination._Evaluator(lambda *_: time.sleep(2.0), sim=False)
+        try:
+            t0 = time.monotonic()
+            for t in range(coordination.EVAL_QUEUE_LIMIT):
+                evaluator.put(("val", t, weights))
+            assert time.monotonic() - t0 < 0.5
+        finally:
+            evaluator.child[0].kill()
+            evaluator.child[1].close()
+            coordination._reap({"evaluator": evaluator.child})
+        assert multiprocessing.active_children() == []
+
+
+class TestForkedProcesses:
+    """What run_training sets up before it forks its children."""
+
+    @pytest.mark.parametrize("runtime, transport", RUNTIMES)
+    def test_no_thread_starts_before_a_fork(self, monkeypatch, runtime, transport):
+        threads_at_fork = []
+        real_fork = coordination._fork
+
+        def fork(name, *args):
+            threads_at_fork.append((name, set(threading.enumerate())))
+            return real_fork(name, *args)
+
+        monkeypatch.setattr(coordination, "_fork", fork)
+        entered = set(threading.enumerate())
+        run_training(*_training(runtime, transport))
+        names = [name for name, _ in threads_at_fork]
+        trainers = ["trainer 0", "trainer 1"] if transport == "tcp" else []
+        assert names == [*trainers, "evaluator"]
+        for name, threads in threads_at_fork:
+            assert threads <= entered, name
+        assert multiprocessing.active_children() == []
+
+    def test_blas_is_pinned_once_before_the_forks(self, monkeypatch):
+        count, sets = [2], []
+
+        def set_threads(n):
+            sets.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(runtime, "_openblas", lambda: (lambda: count[0], set_threads))
+
+        def pinned(fn):
+            def check(*args):
+                if count[0] != 1:
+                    raise AssertionError(f"BLAS count {count[0]} in a child")
+                return fn(*args)
+
+            return check
+
+        monkeypatch.setattr(coordination, "run_trainer", pinned(coordination.run_trainer))
+        monkeypatch.setattr(coordination, "evaluate", pinned(coordination.evaluate))
+        res = _tcp_training()()
+        assert sets == [1, 2]
+        assert sorted(res.trainer_logs) == [0, 1]
         assert multiprocessing.active_children() == []
 
 
