@@ -23,30 +23,34 @@ Both modes keep one round book (``_Rounds``): the global weights, metrics
 row and close time of every round, and the evaluations still in flight.
 The book also has the one result path: it picks the best validation round,
 scores it on the test split and builds the ``RunResult``. The tma server
-and the ggs loop differ only in how they reach the end of a round.
+and the ggs loop differ only in how they reach the end of a round. In both
+modes ``run_training`` owns every trainer's ``TrainerLog``: the actors
+record into them, and it attaches them to the result.
 
 Everything runs against injected clock/channel primitives, so the same
 protocol code executes on real threads, over TCP, or inside the
 deterministic simulation used by the acceptance tests. The server is
-always an actor of the runtime, and so are in-process trainers. TCP
-trainers are forked processes (``run_training``): their steps do not
-share the server's interpreter lock, and each sends its ``TrainerLog``, or
-its error, back over a pipe.
+always an actor of the runtime, and so are in-process trainers.
 
-Every training scores its rounds in one forked evaluator process
-(``_Evaluator``), which is the round book's job and result channel. Under
-the sim an evaluation takes no virtual time: a drain waits for every score
-owed, so the schedule and every score are those of an in-process
-evaluator, while the evaluations run beside the actors instead of on their
-single token. Under the real clock a drain takes only the scores that have
-arrived, so a slow evaluation never holds up a round. The loops drain once
-a round, before its close, so a round's score has had the whole next round
-to arrive. ``run_training`` pins BLAS to one thread and sets malloc once,
-before it forks; its children inherit both.
+``run_training``'s other workers are forked children (``_Child``), each
+answering over a pipe with a value or its error: every TCP trainer, whose
+steps then do not share the server's interpreter lock, replies once with
+its ``TrainerLog``; one evaluator per training, the round book's job and
+result channel, replies to each job with its score. At most one job is in
+the evaluator's pipe; the rest wait in the parent, so queueing a job never
+blocks the round loop. Under the sim an evaluation takes no virtual time: a
+drain waits for every score owed, so the schedule and every score are those
+of an in-process evaluator, while the evaluations run beside the actors
+instead of on their single token. Under the real clock a drain takes only
+the scores that have arrived, so a slow evaluation never holds up a round.
+The loops drain once a round, before its close, so a round's score has had
+the whole next round to arrive. ``run_training`` pins BLAS to one thread
+and sets malloc once, before it forks; its children inherit both.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import multiprocessing
@@ -75,9 +79,7 @@ from .transport import InProcTransports, TcpCoordinator, TcpTrainerEndpoint
 LOSS_EMA_ALPHA = 0.1
 # seconds a trainer with no local edges waits between flag checks
 IDLE_POLL = 0.05
-# validation evaluations in flight at once; a round closed beyond it is not scored.
-# Queued jobs wait in the evaluator's pipe, whose buffer took 21 desk10k jobs
-# before a send blocked the round loop; a larger model fits fewer jobs.
+# validation evaluations in flight at once; a round closed beyond it is not scored
 EVAL_QUEUE_LIMIT = 16
 # seconds run_training waits, once its run is done, for its forked trainer or
 # evaluator processes to report and exit before it kills them
@@ -131,7 +133,6 @@ class TrainerLog:
     loss_ema: float = math.nan
     step_times: list = field(default_factory=list)
     send_rounds: list = field(default_factory=list)  # (round, wall time)
-    stop_seen_at: float = math.nan
 
     def record_step(self, loss: float) -> None:
         """Count one step and fold its loss into ``loss_ema``."""
@@ -161,10 +162,10 @@ class RunResult:
     test_mrr: float
     rounds: int
     metrics: list[MetricsRecord]
-    trainer_logs: dict[int, TrainerLog]
-    weights_by_round: dict[int, ModelWeights]
     round_times: list[float]
     live_ids: list[int]
+    # attached by run_training, which owns the logs in both modes
+    trainer_logs: dict[int, TrainerLog] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,7 @@ class _Rounds:
             if split == "val" and round_t in self._rows:
                 self._rows[round_t].mrr = mrr
 
-    def finish(self, live_ids, steps: dict, losses: dict, trainer_logs: dict) -> RunResult:
+    def finish(self, live_ids, steps: dict, losses: dict) -> RunResult:
         """Wait for the validation scores, score the best round on the test
         split (the earliest round wins a tie) and build the result."""
         self.drain({p for p in self._pending if p[0] == "val"})
@@ -259,8 +260,6 @@ class _Rounds:
             test_mrr=float(test_mrr),
             rounds=self.t,
             metrics=metrics,
-            trainer_logs=trainer_logs,
-            weights_by_round=self._weights,
             round_times=self._times,
             live_ids=live_ids,
         )
@@ -322,7 +321,7 @@ def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs
         book.close(w_global, *tally())
         due = clock.now() + cfg.agg_interval
     endpoint.kv_set("stop", True)
-    return book.finish(live, *tally(), {})
+    return book.finish(live, *tally())
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +365,6 @@ def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: Trainer
                         f"trainer {spec.trainer_id} expected round {t + 1}, got {tag}"
                     )
                 t = tag
-        log.stop_seen_at = clock.now()
     finally:
         endpoint.close()
 
@@ -384,15 +382,15 @@ def run_ggs(
     clock,
     eval_jobs,
     eval_results,
+    logs: dict[int, TrainerLog],
 ):
     """All trainers see the whole training graph; every step averages their
     gradient shards and applies one shared optimizer update, so the slowest
-    trainer paces the system."""
+    trainer paces the system. Each trainer's steps are recorded in ``logs``."""
     w = initial.copy()
     opt = AdamState()
     edges = train_graph.edge_array()
     rngs = {s.trainer_id: np.random.default_rng(s.seed) for s in specs}
-    logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
     step_cost = max(s.step_time for s in specs)
 
     def tally():
@@ -432,139 +430,145 @@ def run_ggs(
             book.close(w, *tally())
             t_agg = clock.now()
 
-    return book.finish([s.trainer_id for s in specs], *tally(), logs)
+    return book.finish([s.trainer_id for s in specs], *tally())
 
 
 # ---------------------------------------------------------------------------
 # harness: wire runtime + transport + actors and run to completion
 
 
-def _fork(name: str, target, *args):
-    """Start ``target(*args, pipe)`` in a forked process named ``name``;
-    returns (process, the parent's end of ``pipe``). Each side holds the only
-    copy of its end, so either side's exit or close is the other's EOF."""
-    ctx = multiprocessing.get_context("fork")
-    pipe, child_end = ctx.Pipe()
-
-    def child():
-        pipe.close()
-        target(*args, child_end)
-
-    proc = ctx.Process(target=child, name=name, daemon=True)
-    proc.start()
-    child_end.close()
-    return proc, pipe
-
-
-def _reap(children: dict) -> dict:
-    """Wait for forked ``{name: (process, pipe)}`` children to exit. From each
-    pipe still open, first read the one report its child sends; a child still
-    running at ``CHILD_EXIT_TIMEOUT`` is killed. Returns ``{name: (report or
-    None, exit code)}`` once every child has exited."""
-    deadline = time.monotonic() + CHILD_EXIT_TIMEOUT
-    reports = {}
+def _answer(fn, *args) -> tuple:
+    """``("ok", fn(*args))``, or ``("error", exception)`` if it raised."""
     try:
-        for name, (proc, pipe) in children.items():
-            # read before joining: a long run's log overfills the pipe buffer,
-            # and its child blocks in send until it is read
-            with contextlib.suppress(EOFError):
-                if not pipe.closed and pipe.poll(max(0.0, deadline - time.monotonic())):
-                    reports[name] = pipe.recv()
-            proc.join(max(0.0, deadline - time.monotonic()))
-    finally:
-        for proc, pipe in children.values():
-            pipe.close()
-            if proc.exitcode is None:
-                proc.kill()
-            proc.join()
-    return {name: (reports.get(name), proc.exitcode) for name, (proc, _) in children.items()}
+        return ("ok", fn(*args))
+    except BaseException as exc:  # the parent raises it where it reads the reply
+        return ("error", exc)
 
 
-def _trainer_process(spec: TrainerSpec, cfg: RunConfig, address, report) -> None:
-    """Body of a forked TCP trainer: train, then send ``("log", TrainerLog)``
-    or ``("error", exception)`` up the ``report`` pipe."""
-    log = TrainerLog(trainer_id=spec.trainer_id)
-    try:
-        endpoint = TcpTrainerEndpoint(address, spec.trainer_id, cfg.model)
-        run_trainer(spec, cfg, endpoint, RealClock(), log)
-    except ChannelClosed:
-        pass  # the server hung up mid-round: a normal end, as for a thread trainer
-    except BaseException as exc:
-        report.send(("error", exc))
-        return
-    report.send(("log", log))
+class _Child:
+    """A forked process named ``name`` running ``body(*args, pipe)``, which
+    answers on ``pipe`` with ``_answer``'s replies. Each side holds the only
+    copy of its end of ``pipe``, so either side's exit or close is the other's
+    EOF.
 
+    ``put`` keeps at most one request in the pipe; the rest wait here and go
+    out as replies are read, so a ``put`` never waits for the child to finish
+    a request, whatever the request's size. An evaluation takes no virtual
+    time, so with ``sim`` ``get`` waits for the owed reply whatever its
+    timeout; otherwise it waits at most ``timeout``, so a drain never holds
+    up a real-clock round.
+    """
 
-def _no_report(name: str, code) -> ProtocolError:
-    return ProtocolError(f"{name} exited with code {code} without reporting")
-
-
-def _trainer_logs(done: dict) -> dict[int, TrainerLog]:
-    """Each reaped trainer's log; raises the first trainer's error, or a
-    ProtocolError for a trainer that exited without reporting."""
-    logs = {}
-    for name, (report, code) in done.items():
-        kind, value = report or (None, None)
-        if kind == "error":
-            raise value
-        if kind is None:
-            raise _no_report(name, code)
-        logs[value.trainer_id] = value
-    return logs
-
-
-def _evaluator_process(eval_fn, pipe) -> None:
-    """Body of the forked evaluator: answer each ``(split, round, weights)``
-    job with ``("score", (split, round, mrr))`` or ``("error", exception)``,
-    until the parent closes its end of ``pipe``."""
-    with contextlib.suppress(EOFError, OSError):
-        while True:
-            split, round_t, weights = pipe.recv()
-            try:
-                reply = ("score", (split, round_t, eval_fn(weights, split, round_t)))
-            except Exception as exc:  # the parent raises it where it reads the score
-                reply = ("error", exc)
-            pipe.send(reply)
-
-
-class _Evaluator:
-    """The round book's job and result channel: a forked ``_evaluator_process``
-    answers the jobs in the order they were put. ``child`` is its ``(process,
-    pipe)``; closing the pipe ends the jobs, and the process exits.
-
-    An evaluation takes no virtual time, so under the sim ``get`` waits for
-    an owed reply whatever its timeout; under the real clock it waits at
-    most ``timeout``, so a drain never holds up a round."""
-
-    def __init__(self, eval_fn, sim: bool):
-        self.child = _fork("evaluator", _evaluator_process, eval_fn)
+    def __init__(self, name: str, body, *args, sim: bool = False):
+        ctx = multiprocessing.get_context("fork")
+        self._pipe, child_end = ctx.Pipe()
         self._sim = sim
+        self._queued: collections.deque = collections.deque()
+        self._owed = False
 
-    def put(self, job) -> None:
-        """Send one ``(split, round, weights)`` job."""
-        try:
-            self.child[1].send(job)
-        except OSError:
-            raise self._exited() from None
+        def main():
+            self._pipe.close()
+            body(*args, child_end)
+
+        self.process = ctx.Process(target=main, name=name, daemon=True)
+        self.process.start()
+        child_end.close()
+
+    def put(self, request) -> None:
+        self._queued.append(request)
+        self._send_next()
+
+    def _send_next(self) -> None:
+        if self._queued and not self._owed:
+            try:
+                self._pipe.send(self._queued.popleft())
+            except OSError:
+                raise self._exited() from None
+            self._owed = True
 
     def get(self, timeout: float | None = None):
-        """The oldest owed ``(split, round, mrr)``; raises ChannelTimeout, or
-        the evaluation's error."""
-        pipe = self.child[1]
+        """The next reply's value; raises ChannelTimeout, the child's error,
+        or a ProtocolError naming a child that exited."""
         try:
-            if not (self._sim or timeout is None or pipe.poll(timeout)):
+            if not (self._sim or timeout is None or self._pipe.poll(timeout)):
                 raise ChannelTimeout
-            kind, value = pipe.recv()
+            kind, value = self._pipe.recv()
         except (EOFError, OSError):
             raise self._exited() from None
+        self._owed = False
+        self._send_next()
         if kind == "error":
             raise value
         return value
 
+    def close(self) -> None:
+        """Hang up: a child waiting for a request exits."""
+        self._pipe.close()
+
+    def kill(self) -> None:
+        """Hang up, and kill the process if it is still running."""
+        self.close()
+        if self.process.exitcode is None:
+            self.process.kill()
+        self.process.join()
+
     def _exited(self) -> ProtocolError:
-        proc = self.child[0]
-        proc.join(CHILD_EXIT_TIMEOUT)
-        return _no_report(proc.name, proc.exitcode)
+        self.process.join(CHILD_EXIT_TIMEOUT)
+        return ProtocolError(
+            f"{self.process.name} exited with code {self.process.exitcode} without reporting"
+        )
+
+
+def _reap(trainers: list[_Child], evaluator: _Child | None) -> list:
+    """End the forked children: hang up on the evaluator, read each trainer's
+    one reply, and wait for every child to exit; a child still running at
+    ``CHILD_EXIT_TIMEOUT`` is killed. Then returns the trainers' values, or
+    raises the first trainer's error."""
+    deadline = time.monotonic() + CHILD_EXIT_TIMEOUT
+    children = [*trainers, *([evaluator] if evaluator else [])]
+    replies = []
+    try:
+        if evaluator is not None:
+            evaluator.close()  # no more jobs: the evaluator exits
+        for child in trainers:
+            # read before joining: a long run's log overfills the pipe buffer,
+            # and its child blocks in send until it is read
+            try:
+                replies.append(child.get(max(0.0, deadline - time.monotonic())))
+            except Exception as exc:
+                replies.append(exc)
+        for child in children:
+            child.process.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        for child in children:
+            child.kill()
+    for child, reply in zip(trainers, replies):
+        if isinstance(reply, ChannelTimeout):
+            raise child._exited()  # killed above
+        if isinstance(reply, Exception):
+            raise reply
+    return replies
+
+
+def _trainer_process(spec: TrainerSpec, cfg: RunConfig, address, pipe) -> None:
+    """Body of a forked TCP trainer: train, then reply with its TrainerLog."""
+
+    def train():
+        log = TrainerLog(trainer_id=spec.trainer_id)
+        with contextlib.suppress(ChannelClosed):  # the server hung up: a normal end
+            endpoint = TcpTrainerEndpoint(address, spec.trainer_id, cfg.model)
+            run_trainer(spec, cfg, endpoint, RealClock(), log)
+        return log
+
+    pipe.send(_answer(train))
+
+
+def _serve(fn, pipe) -> None:
+    """Body of the forked evaluator: answer each request ``args`` with
+    ``fn(*args)``, until the parent hangs up."""
+    with contextlib.suppress(EOFError, OSError):
+        while True:
+            pipe.send(_answer(fn, *pipe.recv()))
 
 
 def run_training(
@@ -592,17 +596,17 @@ def run_training(
 
     initial = init_weights(cfg.model)
 
-    def eval_fn(weights, split, round_t):
-        return evaluate(
-            weights, cfg.model, train_graph, features, splits, split, round_t
-        ).mrr
+    def score(split, round_t, weights):
+        mrr = evaluate(weights, cfg.model, train_graph, features, splits, split, round_t).mrr
+        return split, round_t, mrr
 
     result_box: dict[str, RunResult] = {}
     server_ep = None
+    # the trainers' logs: the actors record into them, and TCP trainers send theirs
     logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
-    # forked processes, started before this training starts a thread:
-    # name -> (process, pipe)
-    children = {}
+    # forked processes, started before this training starts a thread
+    trainers: list[_Child] = []
+    evaluator = None
 
     def loop_actor(loop, *args):
         try:
@@ -625,15 +629,16 @@ def run_training(
                     # the trainers' connections wait in the listen backlog
                     # until accepting starts
                     for spec in specs:
-                        name = f"trainer {spec.trainer_id}"
-                        children[name] = _fork(name, _trainer_process, spec, cfg, server_ep.address)
+                        trainers.append(_Child(
+                            f"trainer {spec.trainer_id}", _trainer_process, spec, cfg,
+                            server_ep.address,
+                        ))
             # forked last: a process forked after it would hold its job pipe open
-            evaluator = _Evaluator(eval_fn, sim=runtime == "sim")
-            children["evaluator"] = evaluator.child
+            evaluator = _Child("evaluator", _serve, score, sim=runtime == "sim")
             if cfg.mode == "ggs":
                 rt.spawn(
                     "ggs", loop_actor, run_ggs, cfg, specs, train_graph, features,
-                    initial, rt.clock, evaluator, evaluator,
+                    initial, rt.clock, evaluator, evaluator, logs,
                 )
             else:
                 rt.spawn(
@@ -654,16 +659,10 @@ def run_training(
         finally:
             if server_ep is not None:
                 server_ep.close()  # a trainer whose server is gone stops after its step
-            if "evaluator" in children:
-                children["evaluator"][1].close()  # no more jobs: the evaluator exits
-            done = _reap(children)
-            done.pop("evaluator", None)
-            logs.update(_trainer_logs(done))  # the TCP trainers' own logs
+            logs.update((log.trainer_id, log) for log in _reap(trainers, evaluator))
 
     result = result_box.get("result")
     if result is None:
         raise ProtocolError("server did not produce a result")
-    if cfg.mode == "tma":
-        # trainer logs live with the trainers, not the server
-        result.trainer_logs = logs
+    result.trainer_logs = logs
     return result

@@ -18,24 +18,24 @@ The flag store the server and trainers share belongs to the transports
   the deadline fixed when the receive began. Acceptance and stress tests
   run here.
 
-Under either runtime, ``coordination.run_training`` scores the rounds in a
-forked evaluator process, and TCP trainers are forked processes too. It
-pins BLAS and sets malloc as below before it forks, so the children
-inherit both.
+The runtimes only schedule. ``coordination.run_training``, the one
+program caller of ``run_all``, scores the rounds in a forked evaluator
+process, and TCP trainers are forked processes too. Once, before it forks,
+it sets the two process-wide settings below with the helpers here, so the
+actors and the children share both:
 
-While either runtime's actors run, numpy's OpenBLAS is pinned to one
-thread: parallel actors would each start a BLAS thread per core, and the
-actors share the cores with the forked processes. The old count is put
-back when ``run_all`` returns.
-
-Both runtimes' ``run_all`` also set, once per process, how glibc's malloc
-returns freed memory: blocks under 4 MiB come from the heap rather than
-their own ``mmap``, and the heap is trimmed only past 16 MiB free. A
-training step's temporaries (about 0.2 MB) and an eval chunk's (about
-1.6 MB) are over glibc's default 128 KiB mmap threshold, so without this
-every step unmaps what it frees and faults it in again on the next call.
-The setting is process-wide and glibc-only: where ``mallopt`` is missing
-or refuses the values, one warning is logged and runs go on as before.
+* ``_one_blas_thread`` pins numpy's OpenBLAS to one thread for the
+  training and puts the old count back after it: parallel actors would
+  each start a BLAS thread per core, and the actors share the cores with
+  the forked processes. A count already at one is never set again.
+* ``_keep_freed_memory`` sets, once per process, how glibc's malloc
+  returns freed memory: blocks under 4 MiB come from the heap rather than
+  their own ``mmap``, and the heap is trimmed only past 16 MiB free. A
+  training step's temporaries (about 0.2 MB) and an eval chunk's (about
+  1.6 MB) are over glibc's default 128 KiB mmap threshold, so without this
+  every step unmaps what it frees and faults it in again on the next call.
+  The setting is glibc-only: where ``mallopt`` is missing or refuses the
+  values, one warning is logged and runs go on as before.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class ThreadRuntime:
         def wrapper():
             try:
                 fn(*args)
-            except (ChannelClosed, SimAborted):
+            except ChannelClosed:
                 pass
             except BaseException as exc:  # surfaced after join
                 with self._lock:
@@ -207,12 +207,10 @@ class ThreadRuntime:
         self._threads.append(threading.Thread(target=wrapper, name=name, daemon=True))
 
     def run_all(self) -> None:
-        _keep_freed_memory()
-        with _one_blas_thread():
-            for t in self._threads:
-                t.start()
-            for t in self._threads:
-                t.join()
+        for t in self._threads:
+            t.start()
+        for t in self._threads:
+            t.join()
         if self._errors:
             raise self._errors[0]
 
@@ -306,19 +304,17 @@ class SimRuntime:
         self._actors.append(_Actor(name=name, fn=fn, args=args, seq=self._next_seq()))
 
     def run_all(self) -> None:
-        _keep_freed_memory()
         self._started = True
-        with _one_blas_thread():
-            for actor in self._actors:
-                actor.thread = threading.Thread(
-                    target=self._actor_main, args=(actor,), name=actor.name, daemon=True
-                )
-                self._by_thread[id(actor.thread)] = actor
-                actor.thread.start()
-            with self._lock:
-                self._grant_next_locked()
-            for actor in self._actors:
-                actor.thread.join()
+        for actor in self._actors:
+            actor.thread = threading.Thread(
+                target=self._actor_main, args=(actor,), name=actor.name, daemon=True
+            )
+            self._by_thread[id(actor.thread)] = actor
+            actor.thread.start()
+        with self._lock:
+            self._grant_next_locked()
+        for actor in self._actors:
+            actor.thread.join()
         if self._error is not None:
             raise self._error
 

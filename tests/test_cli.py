@@ -183,8 +183,11 @@ def _inputs(prefix):
 
 @pytest.mark.parametrize(
     "transport",
-    [[], ["--clock", "real", "--transport", "tcp", "--step-times", "0"]],
-    ids=["sim", "tcp"],
+    [
+        pytest.param([], id="sim"),
+        pytest.param(["--clock", "real", "--transport", "tcp", "--step-times", "0"], id="tcp"),
+        pytest.param(["--mode", "ggs"], id="ggs"),
+    ],
 )
 def test_saved_weights_evaluate_to_the_runs_best_val_mrr(tmp_path, small_cfg, dataset, monkeypatch,
                                                           capsys, transport):

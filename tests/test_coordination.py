@@ -32,7 +32,6 @@ from tma.partition import induce_subgraphs, partition_random_node
 from tma.runtime import (
     ChannelClosed,
     ChannelTimeout,
-    DeadlockError,
     RealClock,
     SimClock,
     SimRuntime,
@@ -51,198 +50,6 @@ from tma.transport import (
     TransportError,
     recv_frame,
 )
-
-
-# ---------------------------------------------------------------------------
-# sim runtime
-
-
-class TestSimKernel:
-    def test_virtual_time_advances_on_sleep(self):
-        rt = SimRuntime()
-        seen = []
-
-        def actor():
-            rt.clock.sleep(5.0)
-            seen.append(rt.clock.now())
-            rt.clock.sleep(2.5)
-            seen.append(rt.clock.now())
-
-        rt.spawn("a", actor)
-        rt.run_all()
-        assert seen == [5.0, 7.5]
-
-    def test_interleaving_is_time_ordered(self):
-        rt = SimRuntime()
-        order = []
-
-        def actor(name, delay):
-            rt.clock.sleep(delay)
-            order.append((name, rt.clock.now()))
-
-        rt.spawn("slow", actor, "slow", 3.0)
-        rt.spawn("fast", actor, "fast", 1.0)
-        rt.run_all()
-        assert order == [("fast", 1.0), ("slow", 3.0)]
-
-    def test_channel_passes_messages_between_actors(self):
-        rt = SimRuntime()
-        ch = rt.channel()
-        got = []
-
-        def producer():
-            for i in range(3):
-                rt.clock.sleep(1.0)
-                ch.put(i)
-
-        def consumer():
-            for _ in range(3):
-                got.append((ch.get(), rt.clock.now()))
-
-        rt.spawn("p", producer)
-        rt.spawn("c", consumer)
-        rt.run_all()
-        assert got == [(0, 1.0), (1, 2.0), (2, 3.0)]
-
-    def test_recv_timeout_fires_at_virtual_deadline(self):
-        rt = SimRuntime()
-        ch = rt.channel()
-        seen = {}
-
-        def actor():
-            try:
-                ch.get(timeout=4.0)
-            except ChannelTimeout:
-                seen["t"] = rt.clock.now()
-
-        rt.spawn("a", actor)
-        rt.run_all()
-        assert seen["t"] == 4.0
-
-        # a put wakes the waiter but the putter takes the item back first:
-        # the deadline stays the one set when the get began, as on threads
-        rt = SimRuntime()
-        ch = rt.channel()
-        seen = {}
-
-        def waiter():
-            try:
-                ch.get(timeout=0.2)
-            except ChannelTimeout:
-                seen["t"] = rt.clock.now()
-
-        def taker():
-            rt.clock.sleep(0.1)
-            ch.put("x")
-            seen["taken"] = ch.get()
-
-        rt.spawn("waiter", waiter)
-        rt.spawn("taker", taker)
-        rt.run_all()
-        assert seen == {"taken": "x", "t": 0.2}
-
-    def test_timed_out_waiter_closes_a_channel_an_untimed_one_waits_on(self):
-        rt = SimRuntime()
-        a, b = rt.channel(), rt.channel()
-        seen = {}
-
-        def untimed():
-            try:
-                a.get()
-            except ChannelClosed:
-                seen["closed"] = rt.clock.now()
-
-        def timed():
-            try:
-                b.get(timeout=1.0)
-            except ChannelTimeout:
-                seen["timed_out"] = rt.clock.now()
-                a.close()
-
-        rt.spawn("untimed", untimed)
-        rt.spawn("timed", timed)
-        rt.run_all()  # no DeadlockError: the timed waiter had a deadline
-        assert seen == {"timed_out": 1.0, "closed": 1.0}
-
-    def test_put_wakes_the_first_waiter_and_close_the_rest(self):
-        rt = SimRuntime()
-        ch = rt.channel()
-        got = []
-
-        def waiter(name):
-            try:
-                got.append((name, ch.get(), rt.clock.now()))
-            except ChannelClosed:
-                got.append((name, "closed", rt.clock.now()))
-
-        def driver():
-            rt.clock.sleep(1.0)
-            ch.put("x")
-            assert [a.name for a in ch._waiters] == ["second"]
-            rt.clock.sleep(1.0)
-            ch.close()
-
-        rt.spawn("first", waiter, "first")
-        rt.spawn("second", waiter, "second")
-        rt.spawn("driver", driver)
-        rt.run_all()
-        assert got == [("first", "x", 1.0), ("second", "closed", 2.0)]
-
-    def test_deadlock_detected(self):
-        rt = SimRuntime()
-        ch = rt.channel()
-        rt.spawn("a", lambda: ch.get())
-        with pytest.raises(DeadlockError):
-            rt.run_all()
-
-    @pytest.mark.parametrize("runtime", [SimRuntime, ThreadRuntime], ids=lambda r: r.__name__)
-    def test_closed_channel_unblocks(self, runtime):
-        rt = runtime()
-        ch = rt.channel()
-        outcome = {}
-
-        def waiter():
-            try:
-                ch.get()
-            except ChannelClosed:
-                outcome["closed"] = True
-
-        def closer():
-            rt.clock.sleep(0.05)
-            ch.close()
-
-        rt.spawn("w", waiter)
-        rt.spawn("c", closer)
-        rt.run_all()
-        assert outcome["closed"]
-
-    def test_actor_error_propagates(self):
-        rt = SimRuntime()
-
-        def bad():
-            raise ValueError("boom")
-
-        rt.spawn("bad", bad)
-        with pytest.raises(ValueError, match="boom"):
-            rt.run_all()
-
-    def test_deterministic_schedule(self):
-        def trace():
-            rt = SimRuntime()
-            log = []
-
-            def actor(name, period):
-                for _ in range(5):
-                    rt.clock.sleep(period)
-                    log.append((name, rt.clock.now()))
-
-            rt.spawn("x", actor, "x", 0.3)
-            rt.spawn("y", actor, "y", 0.5)
-            rt.spawn("z", actor, "z", 0.3)
-            rt.run_all()
-            return log
-
-        assert trace() == trace()
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +85,7 @@ class _TickClock:
 
 
 class _InlineEvaluator:
-    """Stands in for ``coordination._Evaluator`` in this process: ``put``
+    """Stands in for the forked evaluator in this process: ``put``
     scores a job at once, ``get`` returns the oldest score not yet read."""
 
     def __init__(self, eval_fn):
@@ -313,7 +120,7 @@ class TestRounds:
             book.close(_TINY_W, {0: 1}, {0: 0.5})
         book.drain({("val", 1), ("val", 2)})
         book.close(_TINY_W, {0: 2}, {0: 0.5})  # room again after the drain
-        res = book.finish([0], {0: 2}, {0: 0.5}, {})
+        res = book.finish([0], {0: 2}, {0: 0.5})
         assert evaluated == [("val", 1), ("val", 2), ("val", 4), ("test", 2)]
         val = {r.round: r.mrr for r in res.metrics if r.split == "val"}
         assert math.isnan(val.pop(3))
@@ -431,12 +238,28 @@ class TestTmaProtocol:
         assert all(not math.isnan(r.mrr) for r in val_rows)
         assert 0 < res.best_val_mrr <= 1
         assert 0 < res.test_mrr <= 1
-        assert res.best_round in res.weights_by_round
+        assert res.best_round in [r.round for r in val_rows]
         assert res.round_times == [r.wall_s for r in val_rows]
         for row in res.metrics:
             assert set(row.steps) == {0, 1, 2}
 
-    def test_stop_is_monotone_no_late_steps(self):
+    def test_stop_is_monotone_no_late_steps(self, monkeypatch):
+        stop_seen_at = {}
+        real_run_trainer = coordination.run_trainer
+
+        def run_trainer(spec, cfg, endpoint, clock, log):
+            real_kv_get = endpoint.kv_get
+
+            def kv_get(key):
+                value = real_kv_get(key)
+                if key == "stop" and value:
+                    stop_seen_at.setdefault(spec.trainer_id, clock.now())
+                return value
+
+            endpoint.kv_get = kv_get
+            real_run_trainer(spec, cfg, endpoint, clock, log)
+
+        monkeypatch.setattr(coordination, "run_trainer", run_trainer)
         train, x, y, splits = make_dataset(seed=4)
         specs = make_specs(train, x, 2, step_time=0.05)
         cfg = RunConfig(
@@ -444,9 +267,9 @@ class TestTmaProtocol:
             batch_size=16, fanouts=(3, 3),
         )
         res = run_training(cfg, specs, train, x, splits)
-        for log in res.trainer_logs.values():
-            assert not math.isnan(log.stop_seen_at)
-            late = [t for t in log.step_times if t > log.stop_seen_at]
+        assert sorted(stop_seen_at) == sorted(res.trainer_logs)
+        for i, log in res.trainer_logs.items():
+            late = [t for t in log.step_times if t > stop_seen_at[i]]
             assert late == []
 
     def test_submission_tags_unique_per_round(self):
@@ -522,8 +345,8 @@ def run_on_hub(cfg, registered, specs, train, x, splits):
     hub = InProcTransports(rt, registered)
     box = {}
 
-    def eval_fn(weights, split, round_t):
-        return evaluate(weights, cfg.model, train, x, splits, split, round_t).mrr
+    def score(split, round_t, weights):
+        return split, round_t, evaluate(weights, cfg.model, train, x, splits, split, round_t).mrr
 
     def server():
         try:
@@ -538,16 +361,30 @@ def run_on_hub(cfg, registered, specs, train, x, splits):
         run_trainer(spec, cfg, endpoint, rt.clock, TrainerLog(trainer_id=spec.trainer_id))
 
     with runtime._one_blas_thread():
-        evaluator = coordination._Evaluator(eval_fn, sim=True)
+        evaluator = coordination._Child("evaluator", coordination._serve, score, sim=True)
         try:
             rt.spawn("server", server)
             for spec in specs:
                 rt.spawn(f"trainer-{spec.trainer_id}", trainer, spec)
             rt.run_all()
         finally:
-            evaluator.child[1].close()
-            coordination._reap({"evaluator": evaluator.child})
+            coordination._reap([], evaluator)
     return box["result"]
+
+
+def record_global_weights(monkeypatch) -> list:
+    """Make the tma server's ``aggregate_average`` also append each round's
+    global weights to the list returned, in round order."""
+    rounds = []
+    real_aggregate_average = coordination.aggregate_average
+
+    def aggregate_average(weight_sets):
+        w = real_aggregate_average(weight_sets)
+        rounds.append(w.copy())
+        return w
+
+    monkeypatch.setattr(coordination, "aggregate_average", aggregate_average)
+    return rounds
 
 
 class TestFailureInjection:
@@ -603,19 +440,23 @@ class TestFailureInjection:
         assert sorted(won) == [0, 1, 2, 3]
         assert sorted(_available(hub.joined)) == [0, 1, 2, 3]
 
-    def test_no_failures_identical_to_plain_run(self):
+    def test_no_failures_identical_to_plain_run(self, monkeypatch):
         train, x, y, splits = make_dataset(seed=8)
         specs = make_specs(train, x, 2, step_time=0.05)
         cfg = RunConfig(
             model=small_model(x), train_budget=3.0, agg_interval=1.0,
             batch_size=16, fanouts=(3, 3),
         )
+        rounds = record_global_weights(monkeypatch)
         a = run_training(cfg, specs, train, x, splits)
+        a_rounds = rounds[:]
+        rounds.clear()
         b = run_on_hub(cfg, [0, 1], specs, train, x, splits)
         assert a.best_val_mrr == b.best_val_mrr
         assert a.test_mrr == b.test_mrr
-        for t in a.weights_by_round:
-            assert a.weights_by_round[t].equal_bits(b.weights_by_round[t])
+        assert len(a_rounds) == len(rounds) == a.rounds
+        for wa, wb in zip(a_rounds, rounds):
+            assert wa.equal_bits(wb)
 
     def test_failed_trainer_excluded_from_rounds(self):
         train, x, y, splits = make_dataset(seed=9)
@@ -633,7 +474,7 @@ class TestFailureInjection:
         unregistered = run_on_hub(cfg, [0, 2], survivors, train, x, splits)
         assert res.round_times == unregistered.round_times
 
-    def test_failure_subset_bitwise_equivalence(self):
+    def test_failure_subset_bitwise_equivalence(self, monkeypatch):
         train, x, y, splits = make_dataset(seed=10)
         specs = make_specs(train, x, 3, step_time=0.05)
         cfg = RunConfig(
@@ -641,11 +482,15 @@ class TestFailureInjection:
             batch_size=16, fanouts=(3, 3), readiness_timeout=0.5,
         )
         survivors = [s for s in specs if s.trainer_id != 1]
+        rounds = record_global_weights(monkeypatch)
         failed = run_on_hub(cfg, [0, 1, 2], survivors, train, x, splits)
+        failed_rounds = rounds[:]
+        rounds.clear()
         direct = run_training(cfg, survivors, train, x, splits)
         assert failed.rounds == direct.rounds
-        for t in failed.weights_by_round:
-            assert failed.weights_by_round[t].equal_bits(direct.weights_by_round[t])
+        assert len(failed_rounds) == len(rounds) == failed.rounds
+        for wf, wd in zip(failed_rounds, rounds):
+            assert wf.equal_bits(wd)
         assert failed.best_round == direct.best_round
         assert failed.test_mrr == direct.test_mrr
         wall_a = [r.wall_s for r in failed.metrics]
@@ -1233,21 +1078,24 @@ class TestEvaluatorProcess:
         assert res.best_val_mrr == max(scored)
         assert multiprocessing.active_children() == []
 
-    def test_queued_jobs_do_not_block_the_round_loop(self):
-        # desk10k's model: hidden 32, two encoder and two decoder layers
-        model = ModelConfig(in_dim=2, encoder="gcn", layers=2, hidden_dim=32, decoder_layers=2)
+    # a job is ~9.8 kB at hidden 32, ~35 kB at 64 and ~135 kB at 128: a pipe
+    # buffer holds about 21, 6 and 0 of them
+    @pytest.mark.parametrize("hidden", [32, 64, 128])
+    def test_queued_jobs_do_not_block_the_round_loop(self, hidden):
+        # desk10k's model at hidden 32: two encoder and two decoder layers
+        model = ModelConfig(
+            in_dim=2, encoder="gcn", layers=2, hidden_dim=hidden, decoder_layers=2
+        )
         weights = init_weights(model)
         assert len(pickle.dumps(("val", 1, weights))) > 9000
-        evaluator = coordination._Evaluator(lambda *_: time.sleep(2.0), sim=False)
+        evaluator = coordination._Child("evaluator", coordination._serve, lambda *_: time.sleep(2.0))
         try:
             t0 = time.monotonic()
             for t in range(coordination.EVAL_QUEUE_LIMIT):
                 evaluator.put(("val", t, weights))
             assert time.monotonic() - t0 < 0.5
         finally:
-            evaluator.child[0].kill()
-            evaluator.child[1].close()
-            coordination._reap({"evaluator": evaluator.child})
+            evaluator.kill()
         assert multiprocessing.active_children() == []
 
 
@@ -1257,13 +1105,13 @@ class TestForkedProcesses:
     @pytest.mark.parametrize("runtime, transport", RUNTIMES)
     def test_no_thread_starts_before_a_fork(self, monkeypatch, runtime, transport):
         threads_at_fork = []
-        real_fork = coordination._fork
+        real_init = coordination._Child.__init__
 
-        def fork(name, *args):
+        def init(child, name, *args, **kwargs):
             threads_at_fork.append((name, set(threading.enumerate())))
-            return real_fork(name, *args)
+            real_init(child, name, *args, **kwargs)
 
-        monkeypatch.setattr(coordination, "_fork", fork)
+        monkeypatch.setattr(coordination._Child, "__init__", init)
         entered = set(threading.enumerate())
         run_training(*_training(runtime, transport))
         names = [name for name, _ in threads_at_fork]
