@@ -9,9 +9,10 @@ validation evaluation. A report is one message: the round tag, the
 weights, and the trainer's step count and loss EMA for the metrics row.
 Trainers run local steps continuously and only synchronize when they
 observe the flag between steps, so heterogeneous trainer speeds never
-block each other outside the collection window. At the budget's deadline
-the server raises the monotone ``stop`` flag; a trainer finishes its
-current step and exits cleanly.
+block each other outside the collection window. A trainer starts each
+step before its ``step_time`` charge and reads the step's loss after it.
+At the budget's deadline the server raises the monotone ``stop`` flag; a
+trainer finishes its current step and exits cleanly.
 
 A failed trainer is one that was never started: the caller leaves its spec
 out, and the rounds average the trainers that run. The server reads joins
@@ -46,6 +47,15 @@ the scores that have arrived, so a slow evaluation never holds up a round.
 The loops drain once a round, before its close, so a round's score has had
 the whole next round to arrive. ``run_training`` pins BLAS to one thread
 and sets malloc once, before it forks; its children inherit both.
+
+A sim step takes no virtual time either. So when the process may run on
+more than one CPU, each sim tma trainer's model (``_LocalModel``) lives in
+a forked step child, and the trainer actor keeps only the protocol: it
+starts a step before its ``step_time`` charge and reads the loss after it,
+so the trainers' steps run side by side, with every stamp, tally and
+weight of an in-process run. On one CPU the forks would only add cost, and
+thread trainers step in-process, where a step's compute is part of what the
+real clock charges.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ import collections
 import contextlib
 import math
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -94,9 +105,10 @@ class ProtocolError(RuntimeError):
 class TrainerSpec:
     """One trainer's identity, data, seed, and per-step cost.
 
-    ``step_time`` is charged after every local step: virtual seconds under
+    ``step_time`` is charged for every local step: virtual seconds under
     the sim clock, a real sleep under the wall clock (the heterogeneity
-    knob either way).
+    knob either way). A step starts before the charge and its loss is read
+    after it.
     """
 
     trainer_id: int
@@ -328,11 +340,70 @@ def run_server(cfg: RunConfig, endpoint, initial: ModelWeights, clock, eval_jobs
 # trainer (local steps, flag-driven synchronization)
 
 
-def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: TrainerLog):
+class _LocalModel:
+    """One trainer's model: its weights, Adam state, seeded sampling rng and
+    local edges. A request ``(method, *args)`` calls ``load(w)``,
+    ``weights()`` or ``step()``, which trains on one sampled minibatch and
+    returns its loss."""
+
+    def __init__(self, spec: TrainerSpec, cfg: RunConfig):
+        self._spec = spec
+        self._cfg = cfg
+        self._rng = np.random.default_rng(spec.seed)
+        self._edges = spec.subgraph.local_graph.edge_array()
+        self._opt = AdamState()
+        self._w = None
+
+    def __call__(self, method: str, *args):
+        return getattr(self, method)(*args)
+
+    def load(self, w: ModelWeights) -> None:
+        self._w = w
+
+    def weights(self) -> ModelWeights:
+        return self._w
+
+    def step(self) -> float:
+        cfg, sub = self._cfg, self._spec.subgraph
+        batch = sample_minibatch(sub.local_graph, self._edges, cfg.batch_size, cfg.fanouts, self._rng)
+        u, v, labels = batch.pair_indices()
+        return nn.link_step(
+            cfg.model, self._w, self._opt, batch.mfg.blocks,
+            sub.features[batch.mfg.input_nodes], u, v, labels,
+        )
+
+
+class _InProcess:
+    """A serving ``_Child``'s ``put``/``get``, answered in this process:
+    ``put`` computes ``fn(*request)`` at once and ``get`` returns it."""
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._replies: collections.deque = collections.deque()
+
+    def put(self, request) -> None:
+        self._replies.append(self._fn(*request))
+
+    def get(self):
+        return self._replies.popleft()
+
+
+def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: TrainerLog, model=None):
+    """Train until the server's ``stop`` flag, reporting at each ``agg`` flag.
+
+    ``model`` serves the trainer's ``_LocalModel`` through ``put`` and
+    ``get``: a forked ``_Child``, or by default one in this process. A step
+    starts before the ``step_time`` charge and its loss is read after it, so
+    a forked model steps while the clock charges for it.
+    """
+    if model is None:
+        model = _InProcess(_LocalModel(spec, cfg))
     sub = spec.subgraph
-    rng = np.random.default_rng(spec.seed)
     degenerate = sub.num_edges == 0 or sub.num_nodes < 2
-    features, edges = sub.features, sub.local_graph.edge_array()
+
+    def call(*request):
+        model.put(request)
+        return model.get()
 
     try:
         tag, w = endpoint.recv_global()
@@ -340,30 +411,26 @@ def run_trainer(spec: TrainerSpec, cfg: RunConfig, endpoint, clock, log: Trainer
         return
     if tag != 0:
         raise ProtocolError(f"trainer {spec.trainer_id} expected round 0, got {tag}")
-    opt = AdamState()
+    call("load", w)
     t = 0
     try:
         while not endpoint.kv_get("stop"):
             if degenerate:
                 clock.sleep(IDLE_POLL)
             else:
-                batch = sample_minibatch(sub.local_graph, edges, cfg.batch_size, cfg.fanouts, rng)
-                u, v, labels = batch.pair_indices()
-                loss = nn.link_step(
-                    cfg.model, w, opt, batch.mfg.blocks,
-                    features[batch.mfg.input_nodes], u, v, labels,
-                )
-                log.record_step(loss)
+                model.put(("step",))
                 log.step_times.append(clock.now())
                 clock.sleep(spec.step_time)
+                log.record_step(model.get())
             if endpoint.kv_get("agg"):
-                endpoint.send_weights(t, w, log.steps, float(log.loss_ema))
+                endpoint.send_weights(t, call("weights"), log.steps, float(log.loss_ema))
                 log.send_rounds.append((t, clock.now()))
                 tag, w = endpoint.recv_global()
                 if tag != t + 1:
                     raise ProtocolError(
                         f"trainer {spec.trainer_id} expected round {t + 1}, got {tag}"
                     )
+                call("load", w)
                 t = tag
     finally:
         endpoint.close()
@@ -445,11 +512,16 @@ def _answer(fn, *args) -> tuple:
         return ("error", exc)
 
 
+# the parent's ends of the pipes to its forked children, until it closes them
+_parent_ends: set = set()
+
+
 class _Child:
     """A forked process named ``name`` running ``body(*args, pipe)``, which
     answers on ``pipe`` with ``_answer``'s replies. Each side holds the only
     copy of its end of ``pipe``, so either side's exit or close is the other's
-    EOF.
+    EOF: a child closes, at start, the parent's ends of its own pipe and of
+    every older sibling's.
 
     ``put`` keeps at most one request in the pipe; the rest wait here and go
     out as replies are read, so a ``put`` never waits for the child to finish
@@ -462,12 +534,14 @@ class _Child:
     def __init__(self, name: str, body, *args, sim: bool = False):
         ctx = multiprocessing.get_context("fork")
         self._pipe, child_end = ctx.Pipe()
+        _parent_ends.add(self._pipe)
         self._sim = sim
         self._queued: collections.deque = collections.deque()
         self._owed = False
 
         def main():
-            self._pipe.close()
+            for end in _parent_ends:
+                end.close()
             body(*args, child_end)
 
         self.process = ctx.Process(target=main, name=name, daemon=True)
@@ -503,6 +577,7 @@ class _Child:
 
     def close(self) -> None:
         """Hang up: a child waiting for a request exits."""
+        _parent_ends.discard(self._pipe)
         self._pipe.close()
 
     def kill(self) -> None:
@@ -519,18 +594,19 @@ class _Child:
         )
 
 
-def _reap(trainers: list[_Child], evaluator: _Child | None) -> list:
-    """End the forked children: hang up on the evaluator, read each trainer's
-    one reply, and wait for every child to exit; a child still running at
-    ``CHILD_EXIT_TIMEOUT`` is killed. Then returns the trainers' values, or
-    raises the first trainer's error."""
+def _reap(reporting: list[_Child], serving: list[_Child]) -> list:
+    """End the forked children: hang up on each serving child (the evaluator
+    and any step children), read each reporting child's (TCP trainer's) one
+    reply, and wait for every child to exit; a child still running at
+    ``CHILD_EXIT_TIMEOUT`` is killed. Then returns the reporting children's
+    values, or raises the first one's error."""
     deadline = time.monotonic() + CHILD_EXIT_TIMEOUT
-    children = [*trainers, *([evaluator] if evaluator else [])]
+    children = [*reporting, *serving]
     replies = []
     try:
-        if evaluator is not None:
-            evaluator.close()  # no more jobs: the evaluator exits
-        for child in trainers:
+        for child in serving:
+            child.close()  # no more requests: the child exits
+        for child in reporting:
             # read before joining: a long run's log overfills the pipe buffer,
             # and its child blocks in send until it is read
             try:
@@ -542,7 +618,7 @@ def _reap(trainers: list[_Child], evaluator: _Child | None) -> list:
     finally:
         for child in children:
             child.kill()
-    for child, reply in zip(trainers, replies):
+    for child, reply in zip(reporting, replies):
         if isinstance(reply, ChannelTimeout):
             raise child._exited()  # killed above
         if isinstance(reply, Exception):
@@ -564,8 +640,8 @@ def _trainer_process(spec: TrainerSpec, cfg: RunConfig, address, pipe) -> None:
 
 
 def _serve(fn, pipe) -> None:
-    """Body of the forked evaluator: answer each request ``args`` with
-    ``fn(*args)``, until the parent hangs up."""
+    """Body of a serving child (the evaluator, a trainer's step child): answer
+    each request ``args`` with ``fn(*args)``, until the parent hangs up."""
     with contextlib.suppress(EOFError, OSError):
         while True:
             pipe.send(_answer(fn, *pipe.recv()))
@@ -582,8 +658,9 @@ def run_training(
     tcp_host: str = "127.0.0.1",
 ) -> RunResult:
     """Run one full training (tma or ggs mode) and return the server result.
-    The evaluator and any TCP trainers run as forked processes (module
-    docstring); none outlives this call."""
+    The evaluator, any TCP trainers and, under the sim with more than one
+    CPU, the tma trainers' steps run as forked processes (module docstring);
+    none outlives this call."""
     if not specs:
         raise ProtocolError("need at least one trainer spec")
     ids = [s.trainer_id for s in specs]
@@ -604,8 +681,10 @@ def run_training(
     server_ep = None
     # the trainers' logs: the actors record into them, and TCP trainers send theirs
     logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
-    # forked processes, started before this training starts a thread
+    # forked processes, started before this training starts a thread: TCP
+    # trainers, which report once, and the step children and evaluator, which serve
     trainers: list[_Child] = []
+    steppers: dict[int, _Child] = {}
     evaluator = None
 
     def loop_actor(loop, *args):
@@ -633,7 +712,13 @@ def run_training(
                             f"trainer {spec.trainer_id}", _trainer_process, spec, cfg,
                             server_ep.address,
                         ))
-            # forked last: a process forked after it would hold its job pipe open
+                elif runtime == "sim" and len(os.sched_getaffinity(0)) > 1:
+                    # a step takes no virtual time, so the sim's trainers can
+                    # step side by side; on one CPU the forks would only cost
+                    for spec in specs:
+                        steppers[spec.trainer_id] = _Child(
+                            f"trainer {spec.trainer_id}", _serve, _LocalModel(spec, cfg)
+                        )
             evaluator = _Child("evaluator", _serve, score, sim=runtime == "sim")
             if cfg.mode == "ggs":
                 rt.spawn(
@@ -649,7 +734,10 @@ def run_training(
 
                     def trainer_actor(spec):
                         endpoint = server_ep.trainer_endpoint(spec.trainer_id)
-                        run_trainer(spec, cfg, endpoint, rt.clock, logs[spec.trainer_id])
+                        run_trainer(
+                            spec, cfg, endpoint, rt.clock, logs[spec.trainer_id],
+                            steppers.get(spec.trainer_id),
+                        )
 
                     for spec in specs:
                         rt.spawn(f"trainer-{spec.trainer_id}", trainer_actor, spec)
@@ -659,7 +747,8 @@ def run_training(
         finally:
             if server_ep is not None:
                 server_ep.close()  # a trainer whose server is gone stops after its step
-            logs.update((log.trainer_id, log) for log in _reap(trainers, evaluator))
+            serving = [*steppers.values(), *([evaluator] if evaluator else [])]
+            logs.update((log.trainer_id, log) for log in _reap(trainers, serving))
 
     result = result_box.get("result")
     if result is None:

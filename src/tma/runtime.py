@@ -20,7 +20,9 @@ The flag store the server and trainers share belongs to the transports
 
 The runtimes only schedule. ``coordination.run_training``, the one
 program caller of ``run_all``, scores the rounds in a forked evaluator
-process, and TCP trainers are forked processes too. Once, before it forks,
+process, and TCP trainers are forked processes too; under the sim, given
+more than one CPU, so are the tma trainers' steps, while their protocol
+stays in the actors. Once, before it forks,
 it sets the two process-wide settings below with the helpers here, so the
 actors and the children share both:
 

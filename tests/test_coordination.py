@@ -75,6 +75,12 @@ def small_model(x, seed=0):
     return ModelConfig(in_dim=x.shape[1], encoder="gcn", layers=2, hidden_dim=8, seed=seed)
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let run_training fork the sim's step children on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 class _TickClock:
     def __init__(self):
         self.t = 0.0
@@ -247,7 +253,7 @@ class TestTmaProtocol:
         stop_seen_at = {}
         real_run_trainer = coordination.run_trainer
 
-        def run_trainer(spec, cfg, endpoint, clock, log):
+        def run_trainer(spec, cfg, endpoint, clock, log, model=None):
             real_kv_get = endpoint.kv_get
 
             def kv_get(key):
@@ -257,7 +263,7 @@ class TestTmaProtocol:
                 return value
 
             endpoint.kv_get = kv_get
-            real_run_trainer(spec, cfg, endpoint, clock, log)
+            real_run_trainer(spec, cfg, endpoint, clock, log, model)
 
         monkeypatch.setattr(coordination, "run_trainer", run_trainer)
         train, x, y, splits = make_dataset(seed=4)
@@ -340,10 +346,12 @@ def _available(channel) -> list:
 def run_on_hub(cfg, registered, specs, train, x, splits):
     """``run_server`` under the sim on an in-process hub registered for the
     ids ``registered``, with only ``specs``' trainers started; the actors are
-    wired and spawned as ``run_training`` does it."""
+    wired and spawned as ``run_training`` does it, but every trainer steps in
+    this process."""
     rt = SimRuntime()
     hub = InProcTransports(rt, registered)
     box = {}
+    logs = {s.trainer_id: TrainerLog(trainer_id=s.trainer_id) for s in specs}
 
     def score(split, round_t, weights):
         return split, round_t, evaluate(weights, cfg.model, train, x, splits, split, round_t).mrr
@@ -358,7 +366,7 @@ def run_on_hub(cfg, registered, specs, train, x, splits):
 
     def trainer(spec):
         endpoint = hub.trainer_endpoint(spec.trainer_id)
-        run_trainer(spec, cfg, endpoint, rt.clock, TrainerLog(trainer_id=spec.trainer_id))
+        run_trainer(spec, cfg, endpoint, rt.clock, logs[spec.trainer_id])
 
     with runtime._one_blas_thread():
         evaluator = coordination._Child("evaluator", coordination._serve, score, sim=True)
@@ -368,8 +376,20 @@ def run_on_hub(cfg, registered, specs, train, x, splits):
                 rt.spawn(f"trainer-{spec.trainer_id}", trainer, spec)
             rt.run_all()
         finally:
-            coordination._reap([], evaluator)
+            coordination._reap([], [evaluator])
+    box["result"].trainer_logs = logs
     return box["result"]
+
+
+def assert_same_logs(a, b) -> None:
+    """Every trainer's log in results ``a`` and ``b`` is the same, field by field."""
+    assert sorted(a.trainer_logs) == sorted(b.trainer_logs)
+    for i, log_a in a.trainer_logs.items():
+        log_b = b.trainer_logs[i]
+        assert log_a.steps == log_b.steps, i
+        assert repr(log_a.loss_ema) == repr(log_b.loss_ema), i
+        assert log_a.step_times == log_b.step_times, i
+        assert log_a.send_rounds == log_b.send_rounds, i
 
 
 def record_global_weights(monkeypatch) -> list:
@@ -440,9 +460,11 @@ class TestFailureInjection:
         assert sorted(won) == [0, 1, 2, 3]
         assert sorted(_available(hub.joined)) == [0, 1, 2, 3]
 
-    def test_no_failures_identical_to_plain_run(self, monkeypatch):
+    def test_no_failures_identical_to_plain_run(self, monkeypatch, two_cpus):
+        # run_training's trainers step in forked children, run_on_hub's here
         train, x, y, splits = make_dataset(seed=8)
-        specs = make_specs(train, x, 2, step_time=0.05)
+        fast, slow = make_specs(train, x, 2, step_time=0.05)
+        specs = [fast, dataclasses.replace(slow, step_time=0.15)]
         cfg = RunConfig(
             model=small_model(x), train_budget=3.0, agg_interval=1.0,
             batch_size=16, fanouts=(3, 3),
@@ -457,6 +479,8 @@ class TestFailureInjection:
         assert len(a_rounds) == len(rounds) == a.rounds
         for wa, wb in zip(a_rounds, rounds):
             assert wa.equal_bits(wb)
+        assert_same_logs(a, b)
+        assert a.trainer_logs[0].steps > a.trainer_logs[1].steps
 
     def test_failed_trainer_excluded_from_rounds(self):
         train, x, y, splits = make_dataset(seed=9)
@@ -892,24 +916,28 @@ def _tcp_training(seed=19):
 
 
 def _trainer_that(monkeypatch, trainer_id, act, after_steps=5):
-    """Make one trainer run ``act()`` in its own process after some steps."""
-    real_run_trainer = coordination.run_trainer
+    """Make one trainer's step run ``act()`` after some steps, in the process
+    that steps its model: a TCP trainer's own, or the sim's step child."""
+    real_step = coordination._LocalModel.step
+    taken = [0]  # a forked process counts in its own copy
 
-    class Clock(RealClock):
-        steps = 0
-
-        def sleep(self, seconds):  # called once per step, with step_time 0
-            self.steps += 1
-            if self.steps == after_steps:
+    def step(model):
+        if model._spec.trainer_id == trainer_id:
+            taken[0] += 1
+            if taken[0] == after_steps:
                 act()
-            super().sleep(seconds)
+        return real_step(model)
 
-    def run_trainer(spec, cfg, endpoint, clock, log):
-        if spec.trainer_id == trainer_id:
-            clock = Clock()
-        real_run_trainer(spec, cfg, endpoint, clock, log)
+    monkeypatch.setattr(coordination._LocalModel, "step", step)
 
-    monkeypatch.setattr(coordination, "run_trainer", run_trainer)
+
+def _stepping_run(kind):
+    """A training whose trainers step in forked processes: TCP trainers, or
+    the sim's step children (given two CPUs)."""
+    return _tcp_training() if kind == "tcp" else lambda: run_training(*_training())
+
+
+STEPPING_RUNS = ["tcp", "sim"]
 
 
 class TestTcpTrainerProcesses:
@@ -929,26 +957,28 @@ class TestTcpTrainerProcesses:
             assert [r for r, _ in log.send_rounds] == list(range(res.rounds))
         assert multiprocessing.active_children() == []
 
-    def test_a_trainer_error_is_raised(self, monkeypatch):
+    @pytest.mark.parametrize("kind", STEPPING_RUNS)
+    def test_a_trainer_error_is_raised(self, monkeypatch, two_cpus, kind):
         def fail():
             raise ValueError("trainer 1 broke")
 
         _trainer_that(monkeypatch, 1, fail)
-        with pytest.raises(ValueError, match="trainer 1 broke"):
-            _tcp_training()()
+        with pytest.raises(ValueError, match="^trainer 1 broke$"):
+            _stepping_run(kind)()
         assert multiprocessing.active_children() == []
 
-    def test_a_killed_trainer_is_named(self, monkeypatch):
+    @pytest.mark.parametrize("kind", STEPPING_RUNS)
+    def test_a_killed_trainer_is_named(self, monkeypatch, two_cpus, kind):
         _trainer_that(monkeypatch, 0, lambda: os.kill(os.getpid(), signal.SIGKILL))
         with pytest.raises(ProtocolError, match=r"trainer 0 exited with code -9 without reporting"):
-            _tcp_training()()
+            _stepping_run(kind)()
         assert multiprocessing.active_children() == []
 
     def test_a_trainer_that_does_not_exit_is_killed(self, monkeypatch):
         real_run_trainer = coordination.run_trainer
 
-        def run_trainer(spec, cfg, endpoint, clock, log):
-            real_run_trainer(spec, cfg, endpoint, clock, log)
+        def run_trainer(spec, cfg, endpoint, clock, log, model=None):
+            real_run_trainer(spec, cfg, endpoint, clock, log, model)
             if spec.trainer_id == 1:
                 time.sleep(30)  # stopped, but never reports
 
@@ -1099,26 +1129,65 @@ class TestEvaluatorProcess:
         assert multiprocessing.active_children() == []
 
 
+def record_forks(monkeypatch) -> list:
+    """Append ``(name, live threads)`` to the list returned at each ``_Child`` fork."""
+    forks = []
+    real_init = coordination._Child.__init__
+
+    def init(child, name, *args, **kwargs):
+        forks.append((name, set(threading.enumerate())))
+        real_init(child, name, *args, **kwargs)
+
+    monkeypatch.setattr(coordination._Child, "__init__", init)
+    return forks
+
+
 class TestForkedProcesses:
     """What run_training sets up before it forks its children."""
 
     @pytest.mark.parametrize("runtime, transport", RUNTIMES)
-    def test_no_thread_starts_before_a_fork(self, monkeypatch, runtime, transport):
-        threads_at_fork = []
-        real_init = coordination._Child.__init__
-
-        def init(child, name, *args, **kwargs):
-            threads_at_fork.append((name, set(threading.enumerate())))
-            real_init(child, name, *args, **kwargs)
-
-        monkeypatch.setattr(coordination._Child, "__init__", init)
+    def test_no_thread_starts_before_a_fork(self, monkeypatch, two_cpus, runtime, transport):
+        threads_at_fork = record_forks(monkeypatch)
         entered = set(threading.enumerate())
         run_training(*_training(runtime, transport))
         names = [name for name, _ in threads_at_fork]
-        trainers = ["trainer 0", "trainer 1"] if transport == "tcp" else []
+        # TCP trainers and the sim's step children are forked; thread trainers are not
+        trainers = ["trainer 0", "trainer 1"] if runtime == "sim" or transport == "tcp" else []
         assert names == [*trainers, "evaluator"]
         for name, threads in threads_at_fork:
             assert threads <= entered, name
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_steps_in_process_and_matches_two(self, monkeypatch):
+        forks = record_forks(monkeypatch)
+        cfg, (fast, slow), *rest = _training()
+        args = (cfg, [fast, dataclasses.replace(slow, step_time=0.3)], *rest)
+        runs = {}
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            forks.clear()
+            runs[len(cpus)] = run_training(*args), [name for name, _ in forks]
+        (one, one_forked), (two, two_forked) = runs[1], runs[2]
+        assert one_forked == ["evaluator"]
+        assert two_forked == ["trainer 0", "trainer 1", "evaluator"]
+        assert [repr(r.mrr) for r in one.metrics] == [repr(r.mrr) for r in two.metrics]
+        assert one.metrics == two.metrics
+        assert one.round_times == two.round_times
+        assert weights_to_bytes(one.best_weights) == weights_to_bytes(two.best_weights)
+        assert_same_logs(one, two)
+
+    def test_a_closed_child_exits_while_a_younger_one_runs(self):
+        # the younger child must not hold the parent's end of the older one's pipe
+        older = coordination._Child("older", coordination._serve, lambda: None)
+        younger = coordination._Child("younger", coordination._serve, lambda: None)
+        try:
+            older.close()
+            older.process.join(1.0)
+            assert older.process.exitcode == 0
+            assert younger.process.is_alive()
+        finally:
+            older.kill()
+            younger.kill()
         assert multiprocessing.active_children() == []
 
     def test_blas_is_pinned_once_before_the_forks(self, monkeypatch):
