@@ -91,8 +91,9 @@ class Graph:
             raise GraphError(
                 f"neighbor list of node {int(src[bad])} not sorted at record {bad}"
             )
-        # Symmetry: the multiset of (u, v) equals the multiset of (v, u).
-        fwd = np.sort(src * n + dst)
+        # Symmetry: the multiset of (u, v) equals the multiset of (v, u);
+        # the rows are sorted now, so the forward keys already are.
+        fwd = src * n + dst
         rev = np.sort(dst * n + src)
         if not np.array_equal(fwd, rev):
             bad = int(np.nonzero(fwd != rev)[0][0])
@@ -104,7 +105,10 @@ class Graph:
         """Build a graph from an (m, 2) array of undirected edges.
 
         Edges may be in any order/orientation; duplicates and self-loops
-        are rejected.
+        are rejected. Both directions become int64 keys ``src * n + dst``
+        sorted once: the sorted keys are the CSR order, and a repeated
+        undirected edge, in either orientation, shows up as two adjacent
+        equal keys.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if len(edges):
@@ -113,18 +117,13 @@ class Graph:
             if np.any(edges[:, 0] == edges[:, 1]):
                 bad = int(np.nonzero(edges[:, 0] == edges[:, 1])[0][0])
                 raise GraphError(f"self-loop in edge record {bad}")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            keys = lo * num_nodes + hi
-            if len(np.unique(keys)) != len(keys):
-                raise GraphError("duplicate edge in input")
-            src = np.concatenate([lo, hi])
-            dst = np.concatenate([hi, lo])
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        keys = np.concatenate(
+            [edges[:, 0] * num_nodes + edges[:, 1], edges[:, 1] * num_nodes + edges[:, 0]]
+        )
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):
+            raise GraphError("duplicate edge in input")
+        src, dst = np.divmod(keys, num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
         return cls(indptr=indptr, indices=dst.astype(np.int32))

@@ -9,7 +9,9 @@ cut/disparity trade-off, not optimal.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +105,8 @@ def cluster(g: Graph, num_clusters: int, seed: int = 0, slack: float | None = No
     lower cluster id). Without ``slack`` sizes stay within 2x of the even
     share; with it they are forced into ``(1 +/- slack) * n / N``.
     Disconnected graphs are handled by restarting the growth per component;
-    isolated nodes are dealt round-robin.
+    isolated nodes are dealt round-robin. The region count is fitted to
+    ``num_clusters`` on heaps in (size, creation id) order (``_fit_regions``).
     """
     n = g.num_nodes
     if not 1 <= num_clusters <= n:
@@ -134,30 +137,7 @@ def cluster(g: Graph, num_clusters: int, seed: int = 0, slack: float | None = No
                     queue.append(int(u))
         members.append(grown)
 
-    # merge smallest clusters while there are too many
-    while len(members) > num_clusters:
-        order = sorted(range(len(members)), key=lambda c: (len(members[c]), c))
-        a, b = order[0], order[1]
-        members[a].extend(members[b])
-        del members[b]
-
-    # split largest clusters (BFS-order tail) while there are too few;
-    # leftover isolated nodes fill remaining slots as singletons
-    isolated = [int(v) for v in np.nonzero(degrees == 0)[0]]
-    while len(members) < num_clusters:
-        big = max(range(len(members)), key=lambda c: (len(members[c]), -c))
-        if len(members[big]) >= 2:
-            keep = len(members[big]) // 2
-            members.append(members[big][keep:])
-            members[big] = members[big][:keep]
-        elif isolated:
-            members.append([isolated.pop(0)])
-        else:
-            raise PartitionError("cannot form that many non-empty clusters")
-
-    # round-robin the remaining isolated nodes to preserve balance
-    for j, v in enumerate(isolated):
-        members[j % num_clusters].append(v)
+    members = _fit_regions(members, num_clusters, np.flatnonzero(degrees == 0).tolist())
 
     labels = np.full(n, -1, dtype=np.int64)
     for cid, nodes in enumerate(members):
@@ -174,6 +154,52 @@ def cluster(g: Graph, num_clusters: int, seed: int = 0, slack: float | None = No
 
     _refine_sweep(g, labels, sizes, min_size, max_size)
     return labels
+
+
+def _fit_regions(
+    members: list[list[int]], num_clusters: int, isolated: list[int]
+) -> list[list[int]]:
+    """Merge or split BFS regions into exactly ``num_clusters`` clusters.
+
+    Too many: merge the two smallest (size, creation id) regions, the
+    merged one keeping the first's id, so the survivors stay in creation
+    order. Too few: split the largest (size, lowest id) cluster at its
+    BFS-order tail, appended as a new id; once all are singletons, the
+    isolated nodes fill the remaining slots, lowest id first. Both loops
+    run on heaps keyed by size and then creation id, so they are
+    O(C log C) in the region count C and resolve ties toward the older
+    region. Any isolated nodes left are dealt round-robin to preserve
+    balance.
+    """
+    heap = [(len(nodes), cid) for cid, nodes in enumerate(members)]
+    heapq.heapify(heap)
+    while len(heap) > num_clusters:
+        size, a = heapq.heappop(heap)
+        more, b = heapq.heappop(heap)
+        members[a].extend(members[b])
+        heapq.heappush(heap, (size + more, a))
+    members = [members[cid] for cid in sorted(cid for _, cid in heap)]
+
+    isolated = deque(isolated)
+    heap = [(-len(nodes), cid) for cid, nodes in enumerate(members)]
+    heapq.heapify(heap)
+    while len(members) < num_clusters:
+        if heap and heap[0][0] <= -2:
+            _, big = heapq.heappop(heap)
+            keep = len(members[big]) // 2
+            members.append(members[big][keep:])
+            members[big] = members[big][:keep]
+            heapq.heappush(heap, (-keep, big))
+            heapq.heappush(heap, (-len(members[-1]), len(members) - 1))
+        elif isolated:
+            heapq.heappush(heap, (-1, len(members)))
+            members.append([isolated.popleft()])
+        else:
+            raise PartitionError("cannot form that many non-empty clusters")
+
+    for j, v in enumerate(isolated):
+        members[j % num_clusters].append(v)
+    return members
 
 
 def _edge_counts_to_clusters(g: Graph, labels: np.ndarray, v: int, num: int) -> np.ndarray:

@@ -52,14 +52,20 @@ class TestGraph:
         assert g.num_edges == 0
         g.validate()
 
-    def test_validate_catches_asymmetry(self):
+    def test_validate_catches_unsorted_row(self):
         g = triangle()
         broken = Graph(indptr=g.indptr.copy(), indices=g.indices.copy())
         idx = broken.indices.copy()
         idx.setflags(write=True)
         idx[0] = 2  # node 0 now lists 2 twice, node 1 loses its back edge
         object.__setattr__(broken, "indices", idx)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="neighbor list of node 0 not sorted at record 0"):
+            broken.validate()
+
+    def test_validate_catches_asymmetry(self):
+        # sorted rows, no self-loops: 0 lists 1, but 1 does not list 0
+        broken = Graph(indptr=np.array([0, 2, 3, 5]), indices=np.array([1, 2, 2, 0, 1]))
+        with pytest.raises(GraphError, match=r"adjacency not symmetric near edge \(0, 1\)"):
             broken.validate()
 
     def test_edge_array_sorted_unique(self):
@@ -68,6 +74,65 @@ class TestGraph:
         assert np.all(e[:, 0] < e[:, 1])
         keys = e[:, 0].astype(np.int64) * g.num_nodes + e[:, 1]
         assert len(np.unique(keys)) == len(keys)
+
+
+def lexsort_csr(num_nodes, edges):
+    """The two-key lexsort construction ``Graph.from_edges`` once used, as
+    the reference its one-sort build must match byte for byte."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    return indptr, dst.astype(np.int32)
+
+
+class TestFromEdgesReference:
+    @staticmethod
+    def edge_lists():
+        g, _, _ = generate_synthetic(600, 8.0, 0.8, seed=5)
+        e = g.edge_array()
+        rng = np.random.default_rng(0)
+        flips = rng.random(len(e)) < 0.5
+        mixed = np.where(flips[:, None], e[:, ::-1], e)
+        return {
+            "sorted": (600, e),
+            "shuffled": (600, e[rng.permutation(len(e))]),
+            "reversed": (600, e[::-1]),
+            "reversed orientation": (600, e[:, ::-1]),
+            "shuffled, mixed orientation": (600, mixed[rng.permutation(len(e))]),
+            "empty": (5, np.empty((0, 2), dtype=np.int64)),
+            "empty, no nodes": (0, np.empty((0, 2), dtype=np.int64)),
+            "one edge": (4, np.array([[3, 1]])),
+        }
+
+    def test_byte_equal_to_lexsort(self):
+        for name, (n, edges) in self.edge_lists().items():
+            g = Graph.from_edges(n, edges)
+            indptr, indices = lexsort_csr(n, edges)
+            assert g.indptr.dtype == indptr.dtype and g.indices.dtype == indices.dtype, name
+            assert g.indptr.tobytes() == indptr.tobytes(), name
+            assert g.indices.tobytes() == indices.tobytes(), name
+            g.validate()
+
+    @pytest.mark.parametrize(
+        "edges", [[[0, 1], [1, 0]], [[0, 1], [0, 1]], [[2, 3], [0, 1], [3, 2]]]
+    )
+    def test_repeated_edge_in_either_orientation(self, edges):
+        with pytest.raises(GraphError, match="duplicate edge in input"):
+            Graph.from_edges(4, np.array(edges))
+
+    def test_checks_run_range_then_self_loop_then_duplicate(self):
+        with pytest.raises(GraphError, match="edge endpoint out of range"):
+            Graph.from_edges(3, np.array([[1, 1], [0, 1], [0, 1], [0, 3]]))
+        with pytest.raises(GraphError, match="edge endpoint out of range"):
+            Graph.from_edges(3, np.array([[1, 1], [-1, 2]]))
+        with pytest.raises(GraphError, match="self-loop in edge record 2"):
+            Graph.from_edges(3, np.array([[0, 1], [1, 0], [2, 2]]))
 
 
 class TestGenerator:

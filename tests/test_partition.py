@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tma import partition
 from tma.graph import Graph, NodeLabels, build_splits, generate_synthetic
 from tma.partition import (
     Partition,
@@ -127,6 +128,91 @@ class TestCluster:
             cluster(g, 0)
         with pytest.raises(PartitionError):
             cluster(g, 101)
+
+
+def sorted_fit_regions(members, num_clusters, isolated):
+    """The sort-based merge and split loops ``cluster`` once ran, as the
+    reference its heap-ordered ``_fit_regions`` must match."""
+    members = [list(m) for m in members]
+    isolated = list(isolated)
+    while len(members) > num_clusters:
+        order = sorted(range(len(members)), key=lambda c: (len(members[c]), c))
+        a, b = order[0], order[1]
+        members[a].extend(members[b])
+        del members[b]
+    while len(members) < num_clusters:
+        big = max(range(len(members)), key=lambda c: (len(members[c]), -c))
+        if len(members[big]) >= 2:
+            keep = len(members[big]) // 2
+            members.append(members[big][keep:])
+            members[big] = members[big][:keep]
+        elif isolated:
+            members.append([isolated.pop(0)])
+        else:
+            raise PartitionError("cannot form that many non-empty clusters")
+    for j, v in enumerate(isolated):
+        members[j % num_clusters].append(v)
+    return members
+
+
+def components_and_isolated(seed):
+    """A homophilic 4,000-node graph, a 200-node ring with chords, and 100
+    isolated nodes: room for 4,096 clusters."""
+    g, _, _ = generate_synthetic(4000, 6.0, 0.9, seed=seed)
+    ring = np.arange(200)
+    second = np.concatenate(
+        [np.column_stack([ring, (ring + 1) % 200]), np.column_stack([ring[::4], ring[::4] + 2])]
+    )
+    return Graph.from_edges(4300, np.concatenate([g.edge_array(), 4000 + second]))
+
+
+def labels_or_error(g, num_clusters, seed, slack):
+    try:
+        return cluster(g, num_clusters, seed=seed, slack=slack)
+    except PartitionError as err:
+        return str(err)
+
+
+class TestClusterReference:
+    def test_fit_regions_matches_sorted_loops(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            sizes = rng.integers(1, 8, size=rng.integers(1, 40))
+            isolated = list(range(1000, 1000 + int(rng.integers(0, 12))))
+            nodes = iter(range(1000))
+            members = [[next(nodes) for _ in range(s)] for s in sizes]
+            want = int(rng.integers(1, sizes.sum() + len(isolated) + 3))
+            try:
+                expected = sorted_fit_regions(members, want, isolated)
+            except PartitionError as err:
+                with pytest.raises(PartitionError, match=str(err)):
+                    partition._fit_regions([list(m) for m in members], want, list(isolated))
+                continue
+            assert partition._fit_regions([list(m) for m in members], want, isolated) == expected
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("slack", [None, 0.05])
+    def test_cluster_labels_match_sorted_loops(self, monkeypatch, seed, slack):
+        connected = components_and_isolated(seed)
+        # three 2-node regions and 4 isolated nodes: past 6 clusters the
+        # split loop runs out of regions and takes isolated nodes
+        pairs = Graph.from_edges(10, np.array([[0, 1], [2, 3], [4, 5]]))
+        cases = [(connected, c) for c in (1, 3, 12, 64, 512, 4096)]
+        cases += [(pairs, c) for c in (3, 7, 8, 10)]
+        got = [labels_or_error(g, c, seed, slack) for g, c in cases]
+        monkeypatch.setattr(partition, "_fit_regions", sorted_fit_regions)
+        for (g, c), labels in zip(cases, got):
+            expected = labels_or_error(g, c, seed, slack)
+            if isinstance(expected, str):
+                assert labels == expected, c
+            else:
+                assert labels.dtype == expected.dtype, c
+                assert labels.tobytes() == expected.tobytes(), c
+
+    def test_edgeless_graph_clusters_its_isolated_nodes(self):
+        g = Graph.from_edges(7, np.empty((0, 2)))
+        labels = cluster(g, 3, seed=0)
+        assert labels.tolist() == [0, 1, 2, 0, 1, 2, 0]
 
 
 class TestMinCut:
