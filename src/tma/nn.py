@@ -11,8 +11,12 @@ as the checkpoint (``fileio.weights_to_bytes``) stores them, and inputs and
 operators are cast to match, so a training step runs in float32. float64
 weights compute in float64; the gradient checks and ``theory`` use that.
 The step is not FLOP-bound (rows are ``hidden_dim`` wide), so the layer
-primitives are written to make few numpy calls: row means are matvecs,
-column sums are ``ones @ z``.
+primitives are written to make few numpy calls and few temporaries: row
+means are matvecs, column sums are ``ones @ z``, and Adam updates every
+tensor in one pass over one flat buffer. They avoid data-dependent
+selection (``np.where``) on mixed-sign data, which runs several times
+slower than plain arithmetic: PReLU computes a 0/1 mask and its slope
+from it, with the same bits ``np.where`` would give.
 """
 
 from __future__ import annotations
@@ -196,9 +200,15 @@ def _aggregation_operators(encoder: str, block: Block, dtype) -> list[sp.csr_arr
         ]
     deg = np.diff(block.indptr)
     # each destination's own source row follows its neighbors
-    indices = np.insert(block.nbr, block.indptr[1:], block.self_idx)
+    indptr = block.indptr + np.arange(block.num_dst + 1)
+    own = indptr[1:] - 1
+    is_nbr = np.ones(indptr[-1], dtype=bool)
+    is_nbr[own] = False
+    indices = np.empty(indptr[-1], dtype=block.nbr.dtype)
+    indices[is_nbr] = block.nbr
+    indices[own] = block.self_idx
     data = np.repeat((1.0 / (deg + 1)).astype(dtype), deg + 1)
-    return [_csr(data, indices, block.indptr + np.arange(block.num_dst + 1), block.num_src)]
+    return [_csr(data, indices, indptr, block.num_src)]
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
@@ -220,28 +230,41 @@ def _col_sum(z):
 
 
 def _layernorm_fwd(z, gain, bias):
-    xc = z - _row_mean(z)
-    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + LN_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv, gain)
+    xhat = z - _row_mean(z)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LN_EPS)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, (xhat, inv, gain)
 
 
 def _layernorm_bwd(grad, cache):
     xhat, inv, gain = cache
-    dgain = _col_sum(grad * xhat)
+    buf = grad * xhat
+    dgain = _col_sum(buf)
     dbias = _col_sum(grad)
-    dxhat = grad * gain
-    dz = dxhat - _row_mean(dxhat)
-    dz -= xhat * _row_mean(dxhat * xhat)
+    dz = grad * gain
+    proj = _row_mean(np.multiply(dz, xhat, out=buf))
+    dz -= _row_mean(dz)
+    dz -= np.multiply(xhat, proj, out=buf)
     dz *= inv
     return dz, dgain, dbias
 
 
 def _prelu_fwd(z, slope):
     """Returns the activation and its cache: the slope at each entry, and the
-    entries where the slope parameter acts (``min(z, 0)``)."""
-    scale = np.where(z > 0, z.dtype.type(1), slope)
-    return z * scale, (scale, np.minimum(z, 0))
+    entries where the slope parameter acts (``min(z, 0)``).
+
+    The per-entry slope is exactly 1 where ``z > 0`` and ``slope`` elsewhere,
+    built from a 0/1 mask: ``1 + 0 * slope`` is 1 and ``0 + 1 * slope`` is
+    ``slope`` (for a finite slope).
+    """
+    scale = (z > 0).astype(z.dtype)
+    out = 1 - scale  # the 1-entries of this mask take the slope
+    out *= slope
+    scale += out
+    np.multiply(z, scale, out=out)
+    return out, (scale, np.minimum(z, 0))
 
 
 def _prelu_bwd(grad, cache):
@@ -263,8 +286,9 @@ def encode_with_tape(cfg: ModelConfig, w: ModelWeights, blocks: list[Block], x: 
     h = np.asarray(x, dtype=dtype)
     tape = []
     for i, block in enumerate(blocks):
-        ops = _aggregation_operators(cfg.encoder, block, dtype)
-        agg = np.hstack([op @ h for op in ops])
+        if i == 0 or block is not blocks[i - 1]:  # full_graph_blocks repeats one block
+            ops = _aggregation_operators(cfg.encoder, block, dtype)
+        agg = ops[0] @ h if len(ops) == 1 else np.hstack([op @ h for op in ops])
         pre = agg @ w[f"enc{i}.weight"]
         out_ln, ln_cache = _layernorm_fwd(pre, w[f"enc{i}.ln.gain"], w[f"enc{i}.ln.bias"])
         out, act_cache = _prelu_fwd(out_ln, w[f"enc{i}.prelu"])
@@ -288,7 +312,10 @@ def encode_backward(cfg: ModelConfig, w: ModelWeights, tape, grad_emb: np.ndarra
         grads[f"enc{i}.weight"] += agg.T @ grad
         if i > 0:
             d_agg = grad @ w[f"enc{i}.weight"].T
-            grad = sum(op.T @ part for op, part in zip(ops, np.split(d_agg, len(ops), axis=1)))
+            parts = (op.T @ part for op, part in zip(ops, np.split(d_agg, len(ops), axis=1)))
+            grad = next(parts)
+            for more in parts:
+                grad += more
 
 
 def encode(cfg: ModelConfig, w: ModelWeights, g: Graph, x: np.ndarray) -> np.ndarray:
@@ -338,8 +365,31 @@ def decode_backward(cfg: ModelConfig, w: ModelWeights, tape, grad_scores: np.nda
 
 
 def decode(cfg: ModelConfig, w: ModelWeights, r_u: np.ndarray, r_v: np.ndarray) -> np.ndarray:
-    """Pair scores; symmetric in (u, v) because the input is an elementwise product."""
-    scores, _ = decode_with_tape(cfg, w, np.atleast_2d(r_u), np.atleast_2d(r_v))
+    """Pair scores, without a tape; symmetric in (u, v) because the input is
+    an elementwise product.
+
+    The embedding arrays broadcast against each other on every axis but the
+    last (a 1-D embedding is one row), and the scores come out flat, one per
+    pair of the broadcast shape in C order. They equal ``decode_with_tape``'s
+    scores on the broadcast rows bit for bit: each PReLU entry is exactly
+    ``z`` or ``z * slope``, picked by a max (slope <= 1) or a min (slope > 1).
+    """
+    r_u, r_v = np.atleast_2d(r_u), np.atleast_2d(r_v)
+    if r_u.shape[-1] != cfg.hidden_dim or r_v.shape[-1] != cfg.hidden_dim:
+        raise NnError("embedding shape does not match decoder input dim")
+    try:
+        np.broadcast_shapes(r_u.shape, r_v.shape)
+    except ValueError:
+        raise NnError(f"embedding shapes {r_u.shape} and {r_v.shape} do not broadcast") from None
+    e = (r_u * r_v).reshape(-1, cfg.hidden_dim)
+    for k in range(cfg.decoder_layers):
+        e = e @ w[f"dec{k}.weight"]
+        if k < cfg.decoder_layers - 1:
+            slope = w[f"dec{k}.prelu"]
+            pick = np.maximum if slope[0] <= 1 else np.minimum
+            pick(e, e * slope, out=e)
+    scores = e[:, 0]
+    _check_finite(scores, "decoder output")
     return scores
 
 
@@ -411,9 +461,24 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
+    """Step count and moment estimates. ``m`` and ``v`` map each tensor name
+    to a view of one flat buffer, in checkpoint order, so that one update
+    runs over every tensor at once."""
+
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    _flat_m: np.ndarray | None = field(default=None, init=False, repr=False)
+    _flat_v: np.ndarray | None = field(default=None, init=False, repr=False)
+
+
+def _flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of ``flat`` shaped like each tensor of ``like``, laid end to end."""
+    views, lo = {}, 0
+    for name, t in like.items():
+        views[name] = flat[lo : lo + t.size].reshape(t.shape)
+        lo += t.size
+    return views
 
 
 def adam_step(state: AdamState, w: ModelWeights, grads: dict, lr: float) -> ModelWeights:
@@ -422,16 +487,19 @@ def adam_step(state: AdamState, w: ModelWeights, grads: dict, lr: float) -> Mode
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for name, _ in w.items():
-        g = grads[name]
-        if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        w.tensors[name] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    g = np.concatenate([grads[name].ravel() for name in w.tensors])
+    if state._flat_m is None:
+        state._flat_m, state._flat_v = np.zeros_like(g), np.zeros_like(g)
+        state.m = _flat_views(state._flat_m, w.tensors)
+        state.v = _flat_views(state._flat_v, w.tensors)
+    m, v = state._flat_m, state._flat_v
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    update = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    for name, step in _flat_views(update, w.tensors).items():
+        w.tensors[name] -= step
     return w
 
 

@@ -158,7 +158,7 @@ def sample_minibatch(
         raise SamplingError("cannot corrupt tails with fewer than 2 local nodes")
     take = min(batch_size, m)
     sel = rng.permutation(m)[:take]
-    pos = np.asarray(train_edges, dtype=np.int64)[sel]
+    pos = np.asarray(train_edges)[sel].astype(np.int64)
     tails = rng.integers(0, n, size=take)
     for _ in range(64):
         clash = tails == pos[:, 1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tma.evaluate as evaluate_module
 from tma.evaluate import DECODE_CHUNK, EvalError, evaluate, ranks_of
 from tma.graph import build_splits, generate_synthetic
 from tma.nn import ModelConfig, decode, encode, init_weights
@@ -108,3 +109,22 @@ def test_chunked_decode_matches_one_call_decode():
 
     res = evaluate(w, cfg, train, x, splits, "val")
     assert np.array_equal(res.reciprocal_ranks, expected)
+
+
+def test_one_evaluate_scores_every_pair_once(monkeypatch):
+    # the traced benchmark counts ``len(scores)`` of each decode call as pairs scored
+    g, x, _ = generate_synthetic(400, 8.0, 0.8, seed=5)
+    train, splits = build_splits(g, 0.05, 0.05, 20, seed=6)
+    n_pos, k = splits.val_negatives.shape
+    assert n_pos > DECODE_CHUNK
+    cfg = ModelConfig(in_dim=x.shape[1], encoder="gcn", layers=2, hidden_dim=8, seed=7)
+    scored = []
+
+    def counted(*args, fn=evaluate_module.decode):
+        scores = fn(*args)
+        scored.append(len(scores))
+        return scores
+
+    monkeypatch.setattr(evaluate_module, "decode", counted)
+    evaluate(init_weights(cfg), cfg, train, x, splits, "val")
+    assert sum(scored) == n_pos * (k + 1)

@@ -459,3 +459,212 @@ def test_config_validation():
         ModelConfig(in_dim=2, encoder="transformer")
     with pytest.raises(nn.NnError):
         ModelConfig(in_dim=2, layers=0)
+
+
+# ---------------------------------------------------------------------------
+# the kernels' earlier forms, kept as references: the fast forms must give
+# the same bits
+
+
+def reference_prelu_fwd(z, slope):
+    scale = np.where(z > 0, z.dtype.type(1), slope)
+    return z * scale, (scale, np.minimum(z, 0))
+
+
+def reference_aggregation_operators(encoder, block, dtype, fast=nn._aggregation_operators):
+    if encoder != "gcn":
+        return fast(encoder, block, dtype)
+    deg = np.diff(block.indptr)
+    indices = np.insert(block.nbr, block.indptr[1:], block.self_idx)
+    data = np.repeat((1.0 / (deg + 1)).astype(dtype), deg + 1)
+    return [nn._csr(data, indices, block.indptr + np.arange(block.num_dst + 1), block.num_src)]
+
+
+def reference_layernorm_fwd(z, gain, bias):
+    xc = z - nn._row_mean(z)
+    inv = 1.0 / np.sqrt(nn._row_mean(xc * xc) + nn.LN_EPS)
+    xhat = xc * inv
+    return xhat * gain + bias, (xhat, inv, gain)
+
+
+def reference_layernorm_bwd(grad, cache):
+    xhat, inv, gain = cache
+    dgain = nn._col_sum(grad * xhat)
+    dbias = nn._col_sum(grad)
+    dxhat = grad * gain
+    dz = dxhat - nn._row_mean(dxhat)
+    dz -= xhat * nn._row_mean(dxhat * xhat)
+    dz *= inv
+    return dz, dgain, dbias
+
+
+def reference_decode(cfg, w, r_u, r_v, monkeypatch):
+    """Scores of the rows repeated out to one pair per row, through the tape."""
+    monkeypatch.setattr(nn, "_prelu_fwd", reference_prelu_fwd)
+    r_u, r_v = np.broadcast_arrays(np.atleast_2d(r_u), np.atleast_2d(r_v))
+    r_u, r_v = (np.ascontiguousarray(r.reshape(-1, r.shape[-1])) for r in (r_u, r_v))
+    scores, _ = nn.decode_with_tape(cfg, w, r_u, r_v)
+    monkeypatch.undo()
+    return scores
+
+
+def reference_adam_step(state, w, grads, lr):
+    state.t += 1
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
+    for name, _ in w.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        w.tensors[name] -= lr * (m / c1) / (np.sqrt(v / c2) + nn.ADAM_EPS)
+    return w
+
+
+def mixed_sign(shape, dtype, seed=0):
+    """Normal entries with exact zeros and negative zeros mixed in."""
+    z = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+    z.reshape(-1)[::7] = 0.0
+    z.reshape(-1)[3::11] = -0.0
+    return z
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [-0.3, 0.0, 0.25, 1.0, 1.7])
+def test_prelu_matches_where_reference(slope, dtype):
+    z = mixed_sign((40, 9), dtype)
+    s = np.array([slope], dtype)
+    out, (scale, neg) = nn._prelu_fwd(z, s)
+    ref_out, (ref_scale, ref_neg) = reference_prelu_fwd(z, s)
+    assert out.dtype == scale.dtype == neg.dtype == dtype
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(scale, ref_scale)
+    assert np.array_equal(neg, ref_neg)
+    grad = mixed_sign(z.shape, dtype, seed=1)
+    for got, want in zip(nn._prelu_bwd(grad, (scale, neg)), nn._prelu_bwd(grad, (ref_scale, ref_neg))):
+        assert np.array_equal(got, want)
+
+
+def test_nan_prelu_slope_raises():
+    g, x = random_graph(seed=4)
+    cfg = ModelConfig(in_dim=x.shape[1], encoder="gcn", layers=2, hidden_dim=4, seed=0)
+    w = init_weights(cfg)
+    w.tensors["enc1.prelu"][0] = np.nan
+    with pytest.raises(nn.NnError, match="encoder layer 1"):
+        encode(cfg, w, g, x)
+
+
+def test_gcn_operator_matches_insert_reference():
+    g, x = random_graph(n=30, seed=2)
+    mfg = build_mfg(g, np.arange(8), (2, 3), np.random.default_rng(0))
+    for block in [*mfg.blocks, *full_graph_blocks(g, 1)]:
+        for dtype in (np.float32, np.float64):
+            (got,) = nn._aggregation_operators("gcn", block, dtype)
+            (want,) = reference_aggregation_operators("gcn", block, dtype)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+def test_full_graph_encode_builds_one_operator(monkeypatch):
+    g, x = random_graph(n=30, seed=2)
+    cfg = ModelConfig(in_dim=x.shape[1], encoder="gcn", layers=3, hidden_dim=4, seed=0)
+    w = init_weights(cfg)
+    calls = []
+
+    def counted(*args, fn=nn._aggregation_operators):
+        calls.append(args[1])
+        return fn(*args)
+
+    monkeypatch.setattr(nn, "_aggregation_operators", counted)
+    encode(cfg, w, g, x)
+    assert len(calls) == 1
+    # sampled blocks differ per layer, so each gets its own operator
+    mfg = build_mfg(g, np.arange(8), (2, 2, 2), np.random.default_rng(0))
+    nn.encode_with_tape(cfg, w, mfg.blocks, x[mfg.input_nodes])
+    assert calls[1:] == mfg.blocks
+
+
+class TestBroadcastDecode:
+    def setup_method(self):
+        self.cfg = ModelConfig(in_dim=3, encoder="mlp", layers=1, hidden_dim=6, decoder_layers=3, seed=4)
+        self.w = init_weights(self.cfg)
+        self.heads = mixed_sign((5, 1, 6), np.float32, seed=2)
+        self.tails = mixed_sign((5, 7, 6), np.float32, seed=3)
+
+    @pytest.mark.parametrize("slopes", [(0.25, 0.25), (-0.3, 1.7), (1.0, 0.0)])
+    def test_matches_repeated_rows_bytewise(self, slopes, monkeypatch):
+        for k, s in enumerate(slopes):
+            self.w.tensors[f"dec{k}.prelu"][0] = s
+        got = decode(self.cfg, self.w, self.heads, self.tails)
+        want = reference_decode(self.cfg, self.w, self.heads, self.tails, monkeypatch)
+        assert got.shape == (5 * 7,) and got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        repeated = np.repeat(self.heads[:, 0], 7, axis=0)
+        assert decode(self.cfg, self.w, repeated, self.tails.reshape(-1, 6)).tobytes() == got.tobytes()
+
+    def test_one_dimensional_pair_scores(self, monkeypatch):
+        u, v = self.heads[0, 0], self.tails[0, 0]
+        got = decode(self.cfg, self.w, u, v)
+        assert got.shape == (1,)
+        assert got.tobytes() == reference_decode(self.cfg, self.w, u, v, monkeypatch).tobytes()
+
+    def test_shapes_that_do_not_broadcast_raise(self):
+        with pytest.raises(nn.NnError, match="broadcast"):
+            decode(self.cfg, self.w, self.heads[:3], self.tails)
+        with pytest.raises(nn.NnError, match="broadcast"):
+            decode(self.cfg, self.w, self.tails[:, :6], self.tails[:, :4])
+
+
+def test_flat_adam_matches_per_tensor_reference():
+    cfg = ModelConfig(in_dim=3, encoder="sage", layers=2, hidden_dim=4, seed=1)
+    w, ref = init_weights(cfg), init_weights(cfg)
+    state, ref_state = AdamState(), AdamState()
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        grads = {n: rng.normal(size=t.shape).astype(t.dtype) for n, t in w.items()}
+        adam_step(state, w, grads, lr=0.01)
+        reference_adam_step(ref_state, ref, grads, lr=0.01)
+    assert w.equal_bits(ref)
+    for name in w.tensors:
+        assert state.m[name].tobytes() == ref_state.m[name].tobytes()
+        assert state.v[name].tobytes() == ref_state.v[name].tobytes()
+
+
+@pytest.mark.parametrize("encoder", ["gcn", "sage", "mlp"])
+def test_twenty_steps_match_reference_kernels_bytewise(encoder, monkeypatch):
+    g, x = random_graph(n=60, seed=5)
+    x = x.astype(np.float32)
+    cfg = ModelConfig(in_dim=x.shape[1], encoder=encoder, layers=2, hidden_dim=8, seed=2)
+    rng = np.random.default_rng(3)
+    batches = []
+    for _ in range(20):
+        u, v = rng.integers(0, g.num_nodes, size=(2, 12))
+        mfg = build_mfg(g, np.concatenate([u, v]), (3, 2), rng)
+        labels = (np.arange(12) % 2).astype(float)
+        batches.append((mfg.blocks, x[mfg.input_nodes], mfg.output_positions(u), mfg.output_positions(v), labels))
+
+    def train():
+        w, opt = init_weights(cfg), AdamState()
+        for batch in batches:
+            nn.link_step(cfg, w, opt, *batch)
+        return w
+
+    fast = train()
+    for name, ref in [
+        ("_prelu_fwd", reference_prelu_fwd),
+        ("_aggregation_operators", reference_aggregation_operators),
+        ("_layernorm_fwd", reference_layernorm_fwd),
+        ("_layernorm_bwd", reference_layernorm_bwd),
+        ("adam_step", reference_adam_step),
+    ]:
+        monkeypatch.setattr(nn, name, ref)
+    slow = train()
+    assert list(fast.tensors) == list(slow.tensors)
+    assert all(fast[n].tobytes() == slow[n].tobytes() for n in fast.tensors)
+    assert not fast.equal_bits(init_weights(cfg))

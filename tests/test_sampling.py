@@ -225,6 +225,17 @@ class TestSampleMinibatch:
         assert np.all(batch.negatives[:, 1] != batch.positives[:, 1])
         assert np.all(batch.negatives[:, 1] < g.num_nodes)
 
+    def test_int32_edges_give_the_int64_batch(self):
+        g, _ = medium_graph(seed=9)
+        edges = g.edge_array()
+        assert edges.dtype == np.int32
+        a = sample_minibatch(g, edges, 16, [2], np.random.default_rng(4))
+        b = sample_minibatch(g, edges.astype(np.int64), 16, [2], np.random.default_rng(4))
+        assert a.positives.dtype == a.negatives.dtype == np.int64
+        assert np.array_equal(a.positives, b.positives)
+        assert np.array_equal(a.negatives, b.negatives)
+        assert np.array_equal(a.mfg.input_nodes, b.mfg.input_nodes)
+
     def test_edgeless_subgraph_rejected(self):
         g = Graph.from_edges(4, np.empty((0, 2)))
         with pytest.raises(SamplingError, match="no local edges"):
